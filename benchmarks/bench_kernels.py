@@ -1,15 +1,16 @@
 """Micro-kernel benchmarks: the per-cut primitives of the refactor loop.
 
 These are the operations whose balance determines ELF's speedup: cut
-construction and feature collection stay; truth table + ISOP + factoring
-+ counting are what pruning eliminates.
+construction and feature collection stay (per cut on the scalar path, or
+for a whole sweep in the batch kernel of ELF's pass 1); truth table +
+ISOP + factoring + counting are what pruning eliminates.
 """
 
 import pytest
 
 from repro.aig import cone_truth, lit_node, make_lit, mffc_nodes
 from repro.circuits import epfl_circuit
-from repro.cuts import reconv_cut
+from repro.cuts import batch_reconv_cuts, reconv_cut
 from repro.factor import count_tree, factor
 from repro.tt import isop_exact
 
@@ -36,6 +37,29 @@ def test_kernel_cut_features(benchmark, workload):
         lambda: [reconv_cut(g, n, collect_features=True).features for n in nodes]
     )
     assert all(f is not None for f in out)
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    g = epfl_circuit("multiplier")
+    return g, g.and_ids()
+
+
+def test_kernel_sweep_cut_features(benchmark, sweep):
+    """Scalar ELF pass 1: one featured cut per AND of the circuit."""
+    g, nodes = sweep
+    benchmark(lambda: [reconv_cut(g, n, collect_features=True).features for n in nodes])
+
+
+def test_kernel_batch_cuts(benchmark, sweep):
+    """The same sweep through the batch kernel (ELF's pass 1 in production).
+
+    Its per-step numpy overhead is amortized over the rows of a sweep; on a
+    few dozen roots the scalar path is faster.
+    """
+    g, nodes = sweep
+    cuts = benchmark(lambda: batch_reconv_cuts(g, nodes, 10))
+    assert cuts.features.shape == (len(nodes), 6)
 
 
 def test_kernel_cone_truth(benchmark, workload):

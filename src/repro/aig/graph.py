@@ -27,7 +27,7 @@ structure is the hot path of every operator in the library.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from ..errors import AigError
 from .literal import (
@@ -440,6 +440,15 @@ class AIG:
         self._dirty_killed.clear()
         self._dirty_rewired.clear()
         return journal
+
+    def untouched(self, nodes: Collection[int]) -> bool:
+        """True when no node of ``nodes`` was killed or rewired this epoch.
+
+        Every such node still has the fanins it had when the epoch began,
+        so a cut grown over them then is exactly the cut grown now.
+        """
+        killed, rewired = self._dirty_killed, self._dirty_rewired
+        return killed.isdisjoint(nodes) and rewired.isdisjoint(nodes)
 
     # ------------------------------------------------------------------
     # Level maintenance

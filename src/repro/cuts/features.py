@@ -1,9 +1,11 @@
 """The six structural cut features of the ELF classifier (paper SS III-C).
 
-The features are accumulated *during* cut construction (see
-:mod:`repro.cuts.reconv`) so that feature collection adds almost no
-runtime on top of forming the cut — the property the paper relies on to
-keep inference cheaper than resynthesis.
+The features are read off the *finished* cone, never tracked while it
+grows: :func:`repro.cuts.reconv.cut_features` does it in one loop over
+one cut, and :func:`repro.cuts.batch.batch_reconv_cuts` does it as array
+passes over a whole sweep of cuts, which is what keeps ELF's pass 1
+(forming and classifying every cut) cheaper than the resynthesis it
+prunes — the property the paper relies on.
 
 Feature semantics, following Fig. 2 of the paper:
 

@@ -6,8 +6,11 @@ replacement by its fanins grows the leaf set the least
 the leaf limit.  This is the cut construction the refactor operator uses
 (default limit 10, ABC's ``nNodeSizeMax``).
 
-The paper's six features are accumulated with simple counters while the
-cut grows, making feature extraction essentially free (SS III-C).
+The paper's six features are derived from the *finished* cone in one
+loop over its interior (:func:`cut_features`), so growth itself carries
+no feature bookkeeping.  This scalar path is what ``rf``, the wave
+engine and the tuner use, and it is the oracle of the batch kernel in
+:mod:`repro.cuts.batch`, which grows a whole sweep of roots at once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..aig.graph import AIG
-from ..aig.literal import lit_node
 from .features import CutFeatures
 
 DEFAULT_MAX_LEAVES = 10
@@ -57,12 +59,7 @@ def reconv_cut(
     leaves: list[int] = [root]
     visited: set[int] = {root}
     interior: set[int] = set()
-    # Feature accumulators.
-    cut_fanout = 0
-    n_reconv = 0
-    edges_into_cone: dict[int, int] = {}
     fanin0, fanin1 = g._fanin0, g._fanin1
-    refs = g._refs
 
     while True:
         best_leaf = -1
@@ -87,36 +84,45 @@ def reconv_cut(
         # Expand: move best_leaf into the interior, add unseen fanins.
         leaves.remove(best_leaf)
         interior.add(best_leaf)
-        if collect_features:
-            # Outward edges of the expanded node: its total fanout minus
-            # edges to nodes already inside the cone (zero-copy iteration).
-            inside = sum(1 for f in g.iter_fanouts(best_leaf) if f in interior)
-            cut_fanout += refs[best_leaf] - inside
-            for fanin_lit in (fanin0[best_leaf], fanin1[best_leaf]):
-                fanin = fanin_lit >> 1
-                count = edges_into_cone.get(fanin, 0) + 1
-                edges_into_cone[fanin] = count
-                if count == 2:
-                    n_reconv += 1
-                if fanin in interior:
-                    # This edge was counted as outgoing when ``fanin`` was
-                    # expanded (the current node was not interior yet);
-                    # it just became cone-internal.
-                    cut_fanout -= 1
         for fanin_lit in (fanin0[best_leaf], fanin1[best_leaf]):
             fanin = fanin_lit >> 1
             if fanin not in visited:
                 visited.add(fanin)
                 leaves.append(fanin)
 
-    features = None
+    cut = ReconvCut(root=root, leaves=leaves, interior=interior)
     if collect_features:
-        features = CutFeatures(
-            root_fanout=refs[root],
-            root_level=g._level[root],
-            cut_fanout=cut_fanout,
-            cut_size=len(interior),
-            n_reconvergent=n_reconv,
-            n_leaves=len(leaves),
-        )
-    return ReconvCut(root=root, leaves=leaves, interior=interior, features=features)
+        cut.features = cut_features(g, cut)
+    return cut
+
+
+def cut_features(g: AIG, cut: ReconvCut) -> CutFeatures:
+    """The six ELF features of a finished cut, read off the current graph.
+
+    ``cut_fanout`` is every interior node's reference count minus the
+    edges that stay inside the interior; ``n_reconvergent`` counts the
+    nodes that feed two or more interior nodes.
+    """
+    fanin0, fanin1, refs = g._fanin0, g._fanin1, g._refs
+    interior = cut.interior
+    cut_fanout = 0
+    seen: set[int] = set()
+    reconvergent: set[int] = set()
+    for node in interior:
+        cut_fanout += refs[node]
+        for fanin in (fanin0[node] >> 1, fanin1[node] >> 1):
+            if fanin in interior:
+                cut_fanout -= 1
+            if fanin in seen:
+                reconvergent.add(fanin)
+            else:
+                seen.add(fanin)
+    root = cut.root
+    return CutFeatures(
+        root_fanout=refs[root],
+        root_level=g._level[root],
+        cut_fanout=cut_fanout,
+        cut_size=len(interior),
+        n_reconvergent=len(reconvergent),
+        n_leaves=len(cut.leaves),
+    )

@@ -2,15 +2,21 @@
 
 Batched mode (the paper's deployment):
 
-1. one sweep forms every node's cut and stacks the six features into a
-   single matrix;
+1. one array sweep (:func:`repro.cuts.batch.batch_reconv_cuts`) forms
+   every node's cut and its six features, keeping the cones;
 2. one fused matmul classifies all nodes at once;
 3. the refactor sweep then skips every node classified as
-   will-not-improve, resynthesizing only the survivors.
+   will-not-improve and resynthesizes the survivors.  A survivor reuses
+   its pass-1 cone when no node of it (leaves or interior) was killed or
+   rewired by an earlier commit of this pass (the graph's dirty journal,
+   :meth:`repro.aig.graph.AIG.untouched`); growth reads only the fanins
+   of visited nodes, so that cone is exactly the cut a regrowth would
+   form.  Otherwise the cut is grown again with the scalar path.
 
-Features from step 1 can go stale as commits mutate the graph; the paper
-notes (and we preserve) that this only costs runtime, never quality —
-stale survivors just fail resynthesis like they would have anyway.
+Keep decisions are taken once, on the graph pass 1 saw, and are not
+revisited after commits (Algorithm 2): a pruned node stays pruned even
+when an earlier commit changed its cone, and a survivor is always
+resynthesized on its current cut.
 
 Streaming mode classifies each node on its own (batch of one) right
 before resynthesis; it exists for the batching-ablation benchmark.
@@ -26,8 +32,8 @@ import numpy as np
 from .. import obs
 from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
-from ..cuts.features import stack_features
-from ..cuts.reconv import reconv_cut
+from ..cuts.batch import BatchCuts, batch_reconv_cuts
+from ..cuts.reconv import cut_features, reconv_cut
 from ..opt.refactor import RefactorParams, RefactorStats, refactor_node
 from .classifier import ElfClassifier
 
@@ -60,8 +66,9 @@ def elf_refactor(
     same ``try_complement``/``method`` settings, as flows do).
     """
     params = params or ElfParams()
+    max_leaves = params.refactor.max_leaves
     stats = RefactorStats()
-    g.drain_dirty()  # sequential pass: retire the previous journal epoch
+    g.drain_dirty()  # pass 2 reads this pass's journal to reuse cones
     with obs.span("elf.refactor", batched=params.batched) as pass_span:
         required = RequiredLevels(g) if params.refactor.preserve_levels else None
 
@@ -69,9 +76,7 @@ def elf_refactor(
         if cache is None:
             cache = {}
         if params.batched:
-            keep = _batch_classify(g, nodes, classifier, params, stats)
-        else:
-            keep = None
+            cuts, keep = _batch_classify(g, nodes, classifier, max_leaves, stats)
 
         for position, node in enumerate(nodes):
             if g.is_dead(node):
@@ -82,15 +87,15 @@ def elf_refactor(
                     stats.pruned += 1
                     continue
                 t0 = time.perf_counter()
-                cut = reconv_cut(
-                    g, node, params.refactor.max_leaves, collect_features=False
-                )
+                cut = cuts.cut(position)
+                if g.untouched(cut.leaves) and g.untouched(cut.interior):
+                    stats.cuts_reused += 1
+                else:
+                    cut = reconv_cut(g, node, max_leaves, collect_features=False)
                 stats.time_cut += time.perf_counter() - t0
             else:
                 t0 = time.perf_counter()
-                cut = reconv_cut(
-                    g, node, params.refactor.max_leaves, collect_features=True
-                )
+                cut = reconv_cut(g, node, max_leaves, collect_features=True)
                 stats.time_cut += time.perf_counter() - t0
                 t0 = time.perf_counter()
                 keep_one = classifier.keep_mask(
@@ -101,19 +106,20 @@ def elf_refactor(
                     stats.pruned += 1
                     continue
             stats.cuts_formed += 1
+            if collector is not None:
+                # The cut about to be resynthesized, read before the commit
+                # rewires (or kills) its cone.
+                features = cut.features or cut_features(g, cut)
             committed = refactor_node(
                 g, node, cut, params.refactor, required, stats, cache
             )
             if collector is not None:
-                committed_features = cut.features
-                if committed_features is None:
-                    cut_feats = reconv_cut(
-                        g, node, params.refactor.max_leaves, collect_features=True
-                    )
-                    committed_features = cut_feats.features
-                collector(committed_features, committed)
+                collector(features, committed)
         pass_span.set(
-            nodes=stats.nodes_visited, pruned=stats.pruned, commits=stats.commits
+            nodes=stats.nodes_visited,
+            pruned=stats.pruned,
+            commits=stats.commits,
+            reused=stats.cuts_reused,
         )
     stats.time_total = pass_span.duration
     return stats
@@ -151,18 +157,14 @@ def _batch_classify(
     g: AIG,
     nodes: list[int],
     classifier: ElfClassifier,
-    params: ElfParams,
+    max_leaves: int,
     stats: RefactorStats,
-) -> np.ndarray:
-    """Pass 1 of Algorithm 2: collect every cut's features, classify once."""
+) -> tuple[BatchCuts, np.ndarray]:
+    """Pass 1 of Algorithm 2: every node's cut in one sweep, classified once."""
     t0 = time.perf_counter()
-    features = []
-    for node in nodes:
-        cut = reconv_cut(g, node, params.refactor.max_leaves, collect_features=True)
-        features.append(cut.features)
+    cuts = batch_reconv_cuts(g, nodes, max_leaves)
     stats.time_cut += time.perf_counter() - t0
     t0 = time.perf_counter()
-    matrix = stack_features(features)
-    keep = classifier.keep_mask(matrix)
+    keep = classifier.keep_mask(cuts.features)
     stats.time_inference += time.perf_counter() - t0
-    return keep
+    return cuts, keep

@@ -202,6 +202,7 @@ def _accumulate(total: RefactorStats, part: RefactorStats) -> None:
     total.fail_poison += part.fail_poison
     total.fail_trivial += part.fail_trivial
     total.pruned += part.pruned
+    total.cuts_reused += part.cuts_reused
     total.time_total += part.time_total
     total.time_cut += part.time_cut
     total.time_truth += part.time_truth

@@ -66,6 +66,7 @@ class RefactorStats:
     fail_poison: int = 0  # build would have reused the replaced root
     fail_trivial: int = 0  # degenerate cuts
     pruned: int = 0  # skipped by a classifier (ELF only)
+    cuts_reused: int = 0  # pass-1 cones resynthesized as-is (batched ELF only)
     time_total: float = 0.0
     time_cut: float = 0.0
     time_truth: float = 0.0

@@ -297,6 +297,21 @@ class TestDirtyJournal:
         assert lit_node(y) not in journal.killed
         check(g)
 
+    def test_untouched_reads_the_open_epoch(self):
+        g = AIG()
+        a, b, c = g.add_pi(), g.add_pi(), g.add_pi()
+        x = g.add_and(a, b)
+        y = g.add_and(x, c)
+        g.add_po(y)
+        g.drain_dirty()
+        g.replace(lit_node(x), a)
+        pis = [lit_node(a), lit_node(b), lit_node(c)]
+        assert g.untouched(pis)
+        assert not g.untouched(pis + [lit_node(x)])  # killed
+        assert not g.untouched([lit_node(y)])  # rewired
+        g.drain_dirty()
+        assert g.untouched([lit_node(y)])
+
     def test_cascading_gc_is_journaled(self):
         g = AIG()
         a, b, c, d = (g.add_pi() for _ in range(4))

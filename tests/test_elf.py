@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.aig import check
+from repro.circuits import EPFL_NAMES, epfl_circuit
 from repro.circuits.arith import adder, multiplier
+from repro.cuts import reconv_cut, stack_features
 from repro.elf import (
     ElfClassifier,
     ElfParams,
@@ -16,6 +19,7 @@ from repro.elf import (
 )
 from repro.errors import TrainingError
 from repro.ml import MLP, CutDataset, TrainConfig, train_classifier
+from repro.opt import RefactorParams, RefactorStats, refactor_node, rewrite
 from repro.verify import equivalent
 
 from .util import random_aig
@@ -172,3 +176,88 @@ class TestPipeline:
         row2 = compare(g, clf, elf_applications=2)
         assert row2.elf_ands <= row1.elf_ands  # second pass can only help
         assert row2.elf_runtime >= row1.elf_runtime * 0.5
+
+
+def reference_elf(g, classifier, params=None):
+    """Algorithm 2 as written: a scalar cut with features for every node,
+    one ``keep_mask`` over them all, then every kept cut grown again."""
+    params = (params or ElfParams()).refactor
+    stats = RefactorStats()
+    nodes = g.and_ids()
+    cuts = [reconv_cut(g, node, params.max_leaves) for node in nodes]
+    keep = classifier.keep_mask(stack_features([cut.features for cut in cuts]))
+    cache = {}
+    for position, node in enumerate(nodes):
+        if g.is_dead(node):
+            continue
+        stats.nodes_visited += 1
+        if not keep[position]:
+            stats.pruned += 1
+            continue
+        stats.cuts_formed += 1
+        cut = reconv_cut(g, node, params.max_leaves, collect_features=False)
+        refactor_node(g, node, cut, params, None, stats, cache)
+    return stats
+
+
+ORACLE_COUNTERS = ("nodes_visited", "pruned", "cuts_formed", "commits")
+
+
+class TestAlgorithm2Oracle:
+    """The batch sweep and pass-2 cone reuse change runtime, never results."""
+
+    @pytest.fixture(scope="class")
+    def clf(self):
+        return trained_classifier()
+
+    def assert_same_pass(self, g, clf, params, passes=1):
+        ours, theirs = g.clone(), g.clone()
+        for _ in range(passes):
+            stats = elf_refactor(ours, clf, params)
+            expected = reference_elf(theirs, clf, params)
+            for name in ORACLE_COUNTERS:
+                assert getattr(stats, name) == getattr(expected, name), name
+            assert ours.structural_digest() == theirs.structural_digest()
+            assert 0 < stats.pruned < stats.nodes_visited
+            assert 0 <= stats.cuts_reused <= stats.cuts_formed
+        return stats
+
+    @pytest.mark.parametrize("name", EPFL_NAMES)
+    def test_default_epfl_circuits(self, clf, name):
+        stats = self.assert_same_pass(epfl_circuit(name), clf, ElfParams())
+        assert stats.cuts_reused > 0
+
+    @pytest.mark.parametrize("max_leaves", [6, 10])
+    @pytest.mark.parametrize("name", ["div", "sqrt"])
+    def test_after_rewrite(self, clf, name, max_leaves):
+        g = epfl_circuit(name)
+        rewrite(g)
+        params = ElfParams(refactor=RefactorParams(max_leaves=max_leaves))
+        self.assert_same_pass(g, clf, params)
+
+    @pytest.mark.parametrize("max_leaves", [6, 10])
+    def test_elf_twice_after_rewrite(self, clf, max_leaves):
+        g = epfl_circuit("multiplier")
+        rewrite(g)
+        params = ElfParams(refactor=RefactorParams(max_leaves=max_leaves))
+        self.assert_same_pass(g, clf, params, passes=2)
+
+    def test_collector_sees_the_resynthesized_cut(self, clf):
+        g = epfl_circuit("div")
+        records = []
+        stats = elf_refactor(g, clf, collector=lambda f, c: records.append((f, c)))
+        committed = [f for f, c in records if c]
+        assert len(committed) == stats.commits > 0
+        assert all(f.cut_size > 0 and f.n_leaves >= 2 for f in committed)
+        assert all(f.root_fanout > 0 for f in committed)
+
+    def test_span_reports_pass_two_reuse(self, clf):
+        obs.configure(enabled=True)
+        try:
+            stats = elf_refactor(epfl_circuit("sqrt"), clf)
+            (span,) = [s for s in obs.tracer().spans() if s.name == "elf.refactor"]
+        finally:
+            obs.configure(enabled=False)
+            obs.reset()
+        assert span.attrs["reused"] == stats.cuts_reused > 0
+        assert span.attrs["pruned"] == stats.pruned

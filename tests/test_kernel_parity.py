@@ -7,7 +7,9 @@ ships.  Each rewrite claims bit-identity with the straightforward
 formulation it replaced; this module pins every claim against an
 embedded or retained scalar reference over hundreds of random tables and
 cut shapes, plus the degenerate corners (constants, single-leaf cuts,
-duplicate leaves) where index arithmetic likes to go wrong.
+duplicate leaves) where index arithmetic likes to go wrong.  The batch
+reconvergence-cut kernel behind ELF's pass 1 is pinned the same way,
+against the scalar ``reconv_cut``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ import pytest
 
 from repro.aig import AIG, cone_truth, full_mask, var_mask
 from repro.aig.simulate import batch_cone_truths
+from repro.circuits import epfl_circuit
+from repro.cuts import batch as batch_cuts
+from repro.cuts.batch import batch_reconv_cuts
 from repro.cuts.reconv import reconv_cut
 from repro.errors import ReproError, TruthTableError
 from repro.engine.pack import PackedTasks, WaveSegment, leaked_segments
+from repro.opt import rewrite
 from repro.tt import isop, isop_exact, npn_canonize, sop_tt
 from repro.tt.isop import clear_isop_memo
 from repro.tt.npn import _FULL, apply_transform, npn_canonize_scalar
@@ -282,6 +288,75 @@ class TestBatchConeParity:
         for packed in (False, True):
             with pytest.raises(TruthTableError):
                 batch_cone_truths(g, bad, packed=packed)
+
+
+# ----------------------------------------------------------------------
+# Batch reconvergence-driven cuts vs the scalar grower
+# ----------------------------------------------------------------------
+
+
+def _assert_batch_matches_scalar(g, roots, max_leaves):
+    cuts = batch_reconv_cuts(g, roots, max_leaves)
+    assert cuts.features.shape == (len(roots), 6)
+    for i, root in enumerate(roots):
+        expected = reconv_cut(g, root, max_leaves)
+        got = cuts.cut(i)
+        assert got.root == root
+        assert got.leaves == expected.leaves  # order fixes the truth table
+        assert got.interior == expected.interior
+        assert tuple(cuts.features[i]) == expected.features.as_tuple()
+    return cuts
+
+
+def _rewritten(name: str) -> AIG:
+    g = epfl_circuit(name, "tiny")
+    rewrite(g)
+    return g
+
+
+class TestBatchCutParity:
+    @pytest.mark.parametrize("max_leaves", range(2, 13))
+    def test_random_graphs_every_leaf_limit(self, max_leaves):
+        for seed in (4, 17):
+            g = random_aig(9, 220, 5, seed=seed)
+            _assert_batch_matches_scalar(g, g.and_ids(), max_leaves)
+
+    @pytest.mark.parametrize("max_leaves", [4, 8, 10])
+    def test_rewritten_graphs_with_non_topological_ids(self, max_leaves):
+        for name in ("div", "sqrt", "multiplier"):
+            g = _rewritten(name)
+            roots = g.and_ids()
+            order = {node: i for i, node in enumerate(roots)}
+            # rewrite leaves fanins allocated after their fanouts
+            assert any(
+                order.get(lit >> 1, -1) > order[node]
+                for node in roots
+                for lit in g.fanin_lits(node)
+            )
+            _assert_batch_matches_scalar(g, roots, max_leaves)
+
+    def test_roots_in_any_order_and_repeated(self):
+        g = random_aig(8, 150, 4, seed=23)
+        roots = g.and_ids()[::-1] + g.and_ids()[:5]
+        _assert_batch_matches_scalar(g, roots, 10)
+
+    def test_empty_root_list(self):
+        cuts = batch_reconv_cuts(random_aig(6, 40, 2, seed=1), [], 10)
+        assert cuts.features.shape == (0, 6)
+        assert cuts.leaf_ptr.tolist() == [0] and cuts.leaves.size == 0
+        assert cuts.interior_ptr.tolist() == [0] and cuts.interior.size == 0
+
+    def test_scalar_fallback_for_wide_interiors(self, monkeypatch):
+        monkeypatch.setattr(batch_cuts, "INTERIOR_WIDTH", 2)
+        g = _rewritten("hyp")
+        cuts = _assert_batch_matches_scalar(g, g.and_ids(), 10)
+        sizes = np.diff(cuts.interior_ptr)
+        assert (sizes > 2).any() and (sizes <= 2).any()  # both paths taken
+
+    def test_one_row_chunks(self, monkeypatch):
+        monkeypatch.setattr(batch_cuts, "CHUNK_BYTES", 1)
+        g = _rewritten("log2")
+        _assert_batch_matches_scalar(g, g.and_ids(), 6)
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,8 @@ DOCSTRING_TREES = (
 )
 DOCSTRING_FILES = (
     "src/repro/aig/simulate.py",
+    "src/repro/cuts/batch.py",
+    "src/repro/elf/operator.py",
     "src/repro/opt/flow.py",
     "src/repro/opt/registry.py",
     "src/repro/opt/rewrite.py",
