@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench bench-rw bench-mp bench-serve bench-tune bench-all bench-faults profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench bench-rw bench-serve bench-tune bench-all bench-faults profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -65,13 +65,6 @@ bench:
 # BENCH_engine.json without touching the refactor records.
 bench-rw:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py rewrite
-
-# Wave-transport benchmark: shm segments vs pickled chunks at two
-# workers — serialized pipe bytes, segment volume and dispatch time per
-# transport; merges `operator: "transport"` rows (and the host's
-# cpu_count) into BENCH_engine.json.
-bench-mp:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_transport.py
 
 # Idle fault-injection overhead: a REPRO_FAULTS plan armed at every
 # site but never triggering vs no plan, on the layered-5k refactor run.

@@ -164,8 +164,6 @@ def cone_truth(g: AIG, root: int, leaves: list[int]) -> int:
 def batch_cone_truths(
     g: AIG,
     cones: list[tuple[int, tuple[int, ...] | list[int], frozenset[int] | set[int]]],
-    *,
-    packed: bool | None = None,
 ) -> list[int]:
     """Exact truth tables of many cut cones in one batch.
 
@@ -181,21 +179,6 @@ def batch_cone_truths(
     topological rank to every node in the *union* of the interiors
     (overlapping cones are visited once), after which each cone is just a
     sort of its pre-known interior by rank plus a flat AND/XOR loop.
-
-    ``packed=True`` selects the vectorized route: every cone's interior
-    is compiled into one level-grouped gather program over a packed
-    uint64 word matrix (all tables padded to the widest cut — the
-    periodic leaf patterns agree on the low bits, so truncating each
-    root row back to ``2**n`` bits recovers the exact per-cone table),
-    and each level is a single numpy xor/and sweep across all cones at
-    once.  Both routes are bit-identical (``tests/test_kernel_parity``
-    pins them against each other and against :func:`cone_truth`); the
-    default (``packed=None``) picks the scalar loop, which measures
-    faster at every cut width on this kernel — CPython big-int bitwise
-    ops are a fused C loop, while the numpy program pays two gather
-    copies per level — so the packed route exists for consumers that
-    already hold packed word views (the shared-memory wave transport)
-    and as the reference implementation the parity battery exercises.
     """
     fanin0, fanin1 = g._fanin0, g._fanin1
     union: set[int] = set()
@@ -230,9 +213,6 @@ def batch_cone_truths(
                 next_rank += 1
                 stack.pop()
 
-    if packed:
-        return _batch_cone_truths_packed(g, cones, rank)
-
     out: list[int] = []
     rank_of = rank.__getitem__
     for root, leaves, interior in cones:
@@ -263,113 +243,3 @@ def batch_cone_truths(
             ) from exc
     return out
 
-
-_WORD_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _batch_cone_truths_packed(
-    g: AIG,
-    cones: list[tuple[int, tuple[int, ...] | list[int], frozenset[int] | set[int]]],
-    rank: dict[int, int],
-) -> list[int]:
-    """Vectorized route of :func:`batch_cone_truths`.
-
-    Compiles every cone's interior into one gather program over a value
-    matrix of packed uint64 words (row = one node's table in one cone),
-    grouped by AND-depth level so each level is a single
-    ``(V[a] ^ neg_a) & (V[b] ^ neg_b)`` numpy sweep across all cones.
-    All rows are padded to the widest cut's width; truncating a root row
-    to its own cone's ``2**n`` bits recovers the exact table because the
-    periodic leaf patterns agree on low bits.  Bit-identical to the
-    scalar loop above.
-    """
-    fanin0, fanin1 = g._fanin0, g._fanin1
-    n_max = 0
-    for _root, leaves, _interior in cones:
-        n = len(leaves)
-        if n > MAX_TT_VARS:
-            raise TruthTableError(f"cut has {n} leaves; max is {MAX_TT_VARS}")
-        if n > n_max:
-            n_max = n
-    n_eval = max(n_max, 6)
-    n_words = max(1, (1 << n_eval) >> 6)
-    rank_of = rank.__getitem__
-
-    # Fixed rows: 0 = const0, 1 + i = leaf variable i (shared by every
-    # cone; each cone reads the same periodic pattern and truncates).
-    n_fixed = 1 + n_max
-    a_rows: list[int] = []
-    b_rows: list[int] = []
-    a_neg: list[int] = []
-    b_neg: list[int] = []
-    level_groups: dict[int, list[int]] = {}
-    root_rows: list[int] = []  # per cone; -1 marks a leaf/const root
-    shortcuts: dict[int, int] = {}
-    next_row = n_fixed
-
-    for ci, (root, leaves, interior) in enumerate(cones):
-        n = len(leaves)
-        row_of: dict[int, int] = {0: 0}
-        level_of: dict[int, int] = {0: 0}
-        for i, leaf in enumerate(leaves):
-            row_of[leaf] = 1 + i
-            level_of[leaf] = 0
-        if root in row_of:
-            # Same dict-assignment semantics as the scalar loop: the last
-            # duplicate leaf position wins, a leaf overrides const0.
-            value = 0
-            for i in range(len(leaves) - 1, -1, -1):
-                if leaves[i] == root:
-                    value = var_mask(i, n)
-                    break
-            shortcuts[ci] = value
-            root_rows.append(-1)
-            continue
-        try:
-            for node in sorted(interior, key=rank_of):
-                f0, f1 = fanin0[node], fanin1[node]
-                la = level_of[f0 >> 1]
-                lb = level_of[f1 >> 1]
-                a_rows.append(row_of[f0 >> 1])
-                b_rows.append(row_of[f1 >> 1])
-                a_neg.append(f0 & 1)
-                b_neg.append(f1 & 1)
-                level = (la if la >= lb else lb) + 1
-                level_groups.setdefault(level, []).append(next_row - n_fixed)
-                level_of[node] = level
-                row_of[node] = next_row
-                next_row += 1
-            root_rows.append(row_of[root])
-        except KeyError as exc:  # pragma: no cover - structural corruption
-            raise TruthTableError(
-                f"cone of {root} is not closed over its leaves/interior"
-            ) from exc
-
-    values = np.zeros((next_row, n_words), dtype=np.uint64)
-    for i in range(n_max):
-        pattern = var_mask(i, n_eval)
-        values[1 + i] = np.frombuffer(
-            pattern.to_bytes(n_words * 8, "little"), dtype="<u8"
-        )
-    if a_rows:
-        a_arr = np.array(a_rows, dtype=np.int64)
-        b_arr = np.array(b_rows, dtype=np.int64)
-        a_mask = np.where(np.array(a_neg, dtype=bool), _WORD_ONES, np.uint64(0))
-        b_mask = np.where(np.array(b_neg, dtype=bool), _WORD_ONES, np.uint64(0))
-        for level in sorted(level_groups):
-            idx = np.array(level_groups[level], dtype=np.int64)
-            values[idx + n_fixed] = (values[a_arr[idx]] ^ a_mask[idx, None]) & (
-                values[b_arr[idx]] ^ b_mask[idx, None]
-            )
-
-    out: list[int] = []
-    for ci, (_root, leaves, _interior) in enumerate(cones):
-        row = root_rows[ci]
-        if row < 0:
-            out.append(shortcuts[ci])
-        else:
-            out.append(
-                int.from_bytes(values[row].tobytes(), "little")
-                & full_mask(len(leaves))
-            )
-    return out

@@ -107,10 +107,8 @@ class RefactorWaveOp(WaveOperator):
     Snapshot: one reconvergence-driven cut + cut-bounded MFFC (+ features
     when a classifier is deployed).  Evaluate: the wave's survivor cones
     go through the multi-root truth kernel, unique cut functions through
-    the cross-pass NPN-aware cache, and true misses to the worker pool —
-    where the executor packs the whole wave into one shared-memory
-    segment instead of pickling per-task big-ints (see
-    :mod:`repro.engine.pack`).  Commit: the same ``commit_tree`` the
+    the cross-pass NPN-aware cache, and true misses to the worker pool
+    (:mod:`repro.engine.parallel`).  Commit: the same ``commit_tree`` the
     sequential operator uses.
     """
 

@@ -23,12 +23,9 @@ bit-identical to the sequential operator because workers run the same
   ``engine_worker_hangs_total`` otherwise), tears the pool down,
   respawns it after a :class:`repro.resilience.RetryPolicy` backoff
   (``engine_retries_total``) and **re-runs only the lost chunks**;
-* a failed round that rode the shared-memory transport steps down the
-  degradation ladder to pickled chunks
-  (``engine_degradations_total{to="pickle"}``), and an exhausted retry
-  budget degrades to in-process sequential execution
-  (``engine_degradations_total{to="sequential"}``) — the floor that
-  PR 1 proved bit-identical;
+* an exhausted retry budget degrades to in-process sequential execution
+  (``engine_degradations_total{to="sequential"}``) — the floor, which
+  runs the same worker body and is therefore bit-identical;
 * pool *creation* failure (sandboxed hosts) falls back in-process,
   counted per cause (``engine_pool_fallbacks_total{reason=...}``) and
   logged once, so a sandbox stops looking like a 1-worker perf
@@ -38,24 +35,14 @@ A :class:`repro.resilience.Deadline` passed to :meth:`ResynthExecutor.run`
 bounds every chunk wait and the sequential floor; expiry raises
 :class:`repro.errors.DeadlineExceeded` instead of blocking past budget.
 Named fault-injection sites (``worker.start``, ``worker.chunk``,
-``chunk.result``, ``shm.create`` — see :mod:`repro.resilience.faults`)
-make each recovery path deterministically testable in CI.
+``chunk.result`` — see :mod:`repro.resilience.faults`) make each
+recovery path deterministically testable in CI.
 
-**Transport** (:mod:`repro.engine.pack`): by default each dispatch packs
-the round's tasks into one shared-memory segment and ships workers
-``(descriptor, start, stop)`` ranges instead of pickled big-int lists —
-the per-wave serialized volume drops to one flat copy plus a few dozen
-bytes per chunk.  The ``transport`` parameter pins ``"shm"`` or
-``"pickle"`` explicitly (benchmarks compare the two); ``"auto"`` uses
-shared memory whenever the platform forks and the payload is worth a
-segment, and falls back to pickle otherwise — or on any segment-creation
-error, counted by ``engine_shm_fallbacks_total``.  Segment lifecycle is
-one dispatch: created, mapped by workers, unlinked in a ``finally`` on
-**every** path, crash and deadline paths included (the
-``engine_shm_segments_created/unlinked_total`` counters must match after
-every pass); any name that somehow survives — e.g. an unlink that itself
-raised — is swept at :meth:`ResynthExecutor.close`
-(``engine_shm_segments_swept_total``).
+**Transport**: each chunk's ``(truth table, leaf count)`` tasks travel
+pickled inside the chunk message (``engine_task_bytes_total`` counts the
+serialized bytes).  Pickling is the only transport because it is not
+the bottleneck: the bytes per wave cost little next to resynthesizing
+them (``docs/engine.md``, "Task transport", has the measurements).
 
 **Observability** (:mod:`repro.obs`): when tracing is enabled each
 worker measures its chunk — tasks evaluated, evaluate seconds, ISOP-memo
@@ -74,18 +61,13 @@ import pickle
 import time
 
 from .. import obs
-from ..errors import DeadlineExceeded, ReproError
+from ..errors import DeadlineExceeded
 from ..opt.refactor import RefactorParams, _resynthesize
 from ..resilience import Deadline, RetryPolicy, policy
 from ..resilience.faults import InjectedFault, fire as fault_fire
 from ..tt.isop import isop_memo_hits
-from .pack import PackedTasks, WaveSegment, share_resource_tracker, unlink_by_name
 
 ResynthTask = "tuple[int, int]"  # (truth table, number of leaves)
-
-SHM_MIN_BYTES = 1 << 14
-"""Packed payloads below this ride the pickle path in ``auto`` mode —
-segment setup costs more than pickling a few tables."""
 
 DEFAULT_CHUNK_TIMEOUT_S = 30.0
 """Per-chunk deadline on ``AsyncResult.get``: generous against skewed
@@ -115,36 +97,16 @@ def resynthesize_batch(
 def _worker(payload: tuple) -> tuple:
     """Worker body: ``(entries, error, snapshot)`` for one chunk.
 
-    Two payload shapes, discriminated by the leading tag (the trailing
-    ``index`` is the absolute chunk index, the handle fault plans match
-    on):
-
-    * ``("pickle", params, chunk, want_obs, index)`` — the chunk's tasks
-      travel pickled inside the message;
-    * ``("shm", params, descriptor, start, stop, want_obs, index)`` —
-      the tasks live in a shared-memory wave segment; the worker attaches
-      it, rebuilds exactly its ``[start, stop)`` slice, and closes the
-      mapping before resynthesizing.
-
-    Errors are contained per chunk (``entries is None`` + the formatted
-    error; the parent recomputes that chunk in-process), and the metrics
-    snapshot rides along only when the parent asked for one and the
-    chunk succeeded.  The ``worker.chunk`` fault site fires here — a
+    The payload is ``(params, chunk, want_obs, index)``; ``index`` is the
+    absolute chunk index, the handle fault plans match on.  Errors are
+    contained per chunk (``entries is None`` + the formatted error; the
+    parent recomputes that chunk in-process), and the metrics snapshot
+    rides along only when the parent asked for one and the chunk
+    succeeded.  The ``worker.chunk`` fault site fires here — a
     ``kill`` fault SIGKILLs this very worker mid-chunk, which is what
     makes worker-death recovery reproducible in CI.
     """
-    if payload[0] == "shm":
-        _tag, params, descriptor, start, stop, want_obs, index = payload
-        try:
-            segment = WaveSegment.attach(descriptor)
-            try:
-                chunk = segment.packed().tasks(start, stop)
-            finally:
-                segment.close()
-        except Exception as error:  # lint-faults: contained (parent recomputes + counts)
-            return (None, f"{type(error).__name__}: {error}", None)
-    else:
-        _tag, params, chunk, want_obs, index = payload
+    params, chunk, want_obs, index = payload
     t0 = time.perf_counter()
     memo0 = isop_memo_hits()
     try:
@@ -173,45 +135,30 @@ def _chunked(tasks: list, n_chunks: int) -> list[list]:
 class ResynthExecutor:
     """Chunked resynthesis executor over a persistent, self-healing pool.
 
-    ``transport`` selects how task payloads reach workers: ``"shm"``
-    (shared-memory wave segments), ``"pickle"`` (tasks inside the chunk
-    messages), or ``"auto"`` (shm when the pool forks and the wave is
-    big enough, pickle otherwise).  ``chunk_timeout_s`` is the per-chunk
-    result deadline that turns a dead or hung worker into a recoverable
-    event; ``retry_policy`` bounds pool respawns (see the module
-    docstring for the full recovery ladder).
+    ``chunk_timeout_s`` is the per-chunk result deadline that turns a
+    dead or hung worker into a recoverable event; ``retry_policy`` bounds
+    pool respawns (see the module docstring for the full recovery
+    ladder).
     """
 
     def __init__(
         self,
         workers: int,
         params: RefactorParams,
-        transport: str = "auto",
         chunk_timeout_s: float = DEFAULT_CHUNK_TIMEOUT_S,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if transport not in ("auto", "shm", "pickle"):
-            raise ReproError(f"unknown transport {transport!r}")
         self.workers = max(1, workers)
         self.params = params
-        self.transport = transport
         self.chunk_timeout_s = chunk_timeout_s
         self.retry_policy = retry_policy or policy.DEFAULT_RETRY_POLICY
         self._pool = None
         self._pool_broken = False
-        self._pool_is_fork = False
-        self._forced_transport: str | None = None  # ladder state, sticky
-        self._live_segments: set[str] = set()  # created, not yet unlinked
 
     @property
     def in_process(self) -> bool:
         """True when tasks run on the calling process (no pool)."""
         return self.workers <= 1 or self._pool_broken
-
-    @property
-    def effective_transport(self) -> str:
-        """The configured transport, after any ladder degradation."""
-        return self._forced_transport or self.transport
 
     def will_pool(self, n_tasks: int) -> bool:
         """Whether ``run`` would dispatch this many tasks to the pool.
@@ -243,8 +190,8 @@ class ResynthExecutor:
     ) -> list[tuple]:
         """Resynthesize every task; results align with the input order.
 
-        Bit-identical on every path — pooled, retried, transport-degraded
-        or sequential — because all of them run the same worker body.
+        Bit-identical on every path — pooled, retried or sequential —
+        because all of them run the same worker body.
         ``deadline`` bounds each chunk wait and the sequential floor;
         expiry raises :class:`repro.errors.DeadlineExceeded` (the caller
         abandons only uncommitted work, so the pass result stays a
@@ -311,97 +258,73 @@ class ResynthExecutor:
         Fills ``results`` in place for every chunk that lands (including
         the contained-error recompute path) and returns the indices
         whose results never arrived — dead or hung workers — for the
-        caller's retry machinery.  The round's shm segment, if any, is
-        unlinked on every exit path.
+        caller's retry machinery.
         """
         want_obs = obs.enabled()
-        payloads, segment = self._build_payloads(chunks, pending, want_obs)
+        payloads = [(self.params, chunks[i], want_obs, i) for i in pending]
+        obs.counter("engine_task_bytes_total").add(
+            sum(len(pickle.dumps(p)) for p in payloads)
+        )
         # Worker process objects at dispatch time (CPython pool internals;
         # the liveness probe is what separates a death from a hang).
         procs = list(getattr(pool, "_pool", ()))
         pids = [p.pid for p in procs]
         failed: list[int] = []
         hung = 0
-        try:
-            handles = [pool.apply_async(_worker, (payload,)) for payload in payloads]
-            for i, handle in zip(pending, handles):
-                try:
-                    fault_fire("chunk.result", chunk=i, pids=pids)
-                    timeout = self.chunk_timeout_s
-                    if deadline is not None:
-                        timeout = deadline.bound(timeout)
-                    raw = handle.get(timeout=timeout)
-                except mp.TimeoutError:
-                    if deadline is not None and deadline.expired:
-                        raise DeadlineExceeded(
-                            "resynthesis chunk wait exceeded the deadline",
-                            site="executor.chunk",
-                        )
-                    obs.counter(
-                        "engine_chunk_failures_total", reason="timeout"
-                    ).add(1)
-                    failed.append(i)
-                    hung += 1
-                    continue
-                except DeadlineExceeded:
-                    raise
-                except Exception as error:
-                    # Pool-level breakage (or an injected lost chunk):
-                    # the chunk is retried, the cause is counted.
-                    obs.counter(
-                        "engine_chunk_failures_total",
-                        reason=type(error).__name__,
-                    ).add(1)
-                    failed.append(i)
-                    continue
-                entries, _error, snapshot = raw
-                if entries is None:
-                    # Chunk-level containment: recompute just this chunk
-                    # in process (bit-identical worker body); its
-                    # worker-side metrics delta is the only thing lost.
-                    if want_obs:
-                        obs.counter("engine_worker_chunks_failed_total").add(1)
-                    entries = resynthesize_batch(chunks[i], self.params)
-                elif snapshot is not None:
-                    obs.merge_worker_snapshot(snapshot)
-                results[i] = entries
-        finally:
-            if segment is not None:
-                # One-dispatch lifecycle: the round's segment never
-                # outlives its collection, crash paths included.
-                name = segment.descriptor()[0]
-                segment.close()
-                segment.unlink()
-                self._live_segments.discard(name)
-                obs.counter("engine_shm_segments_unlinked_total").add(1)
+        handles = [pool.apply_async(_worker, (payload,)) for payload in payloads]
+        for i, handle in zip(pending, handles):
+            try:
+                fault_fire("chunk.result", chunk=i, pids=pids)
+                timeout = self.chunk_timeout_s
+                if deadline is not None:
+                    timeout = deadline.bound(timeout)
+                raw = handle.get(timeout=timeout)
+            except mp.TimeoutError:
+                if deadline is not None and deadline.expired:
+                    raise DeadlineExceeded(
+                        "resynthesis chunk wait exceeded the deadline",
+                        site="executor.chunk",
+                    )
+                obs.counter(
+                    "engine_chunk_failures_total", reason="timeout"
+                ).add(1)
+                failed.append(i)
+                hung += 1
+                continue
+            except DeadlineExceeded:
+                raise
+            except Exception as error:
+                # Pool-level breakage (or an injected lost chunk):
+                # the chunk is retried, the cause is counted.
+                obs.counter(
+                    "engine_chunk_failures_total",
+                    reason=type(error).__name__,
+                ).add(1)
+                failed.append(i)
+                continue
+            entries, _error, snapshot = raw
+            if entries is None:
+                # Chunk-level containment: recompute just this chunk
+                # in process (bit-identical worker body); its
+                # worker-side metrics delta is the only thing lost.
+                if want_obs:
+                    obs.counter("engine_worker_chunks_failed_total").add(1)
+                entries = resynthesize_batch(chunks[i], self.params)
+            elif snapshot is not None:
+                obs.merge_worker_snapshot(snapshot)
+            results[i] = entries
         if failed:
             deaths = sum(1 for p in procs if not p.is_alive())
             if deaths:
                 policy.record_worker_death(deaths)
             else:
                 policy.record_worker_hang(hung)
-            self._last_round_shm = segment is not None
         return failed
 
-    _last_round_shm = False  # whether the most recent failed round rode shm
-
     def _respawn(self, attempt: int, deadline: Deadline | None):
-        """Tear down and re-fork the pool for retry round ``attempt``.
-
-        A failed round that used the shared-memory transport first steps
-        the ladder down to pickled chunks — if the segment mapping was
-        implicated (``/dev/shm`` pressure, a SIGBUS on access), retrying
-        over it would fail the same way.  The downgrade is sticky for
-        this executor and counted once.
-        """
+        """Tear down and re-fork the pool for retry round ``attempt``,
+        after the policy's backoff (bounded by ``deadline``)."""
         self._teardown()
-        if self._last_round_shm and self.effective_transport != "pickle":
-            self._forced_transport = "pickle"
-            policy.record_degradation("pickle")
-            _log_once(
-                "degraded-pickle",
-                "engine transport degraded shm -> pickle after a failed round",
-            )
         delay = self.retry_policy.backoff(attempt - 1)
         if deadline is not None:
             delay = deadline.bound(delay)
@@ -421,66 +344,9 @@ class ResynthExecutor:
             out.append(_resynthesize(tt, n_leaves, self.params, None))
         return out
 
-    def _build_payloads(
-        self,
-        chunks: list[list[tuple[int, int]]],
-        pending: list[int],
-        want_obs: bool,
-    ):
-        """Payloads for the pending chunks plus the owning segment
-        (``None`` on the pickle path)."""
-        transport = self.effective_transport
-        if transport != "pickle" and self._pool_is_fork:
-            tasks = [task for i in pending for task in chunks[i]]
-            packed = PackedTasks.pack(tasks)
-            if transport == "shm" or packed.nbytes >= SHM_MIN_BYTES:
-                try:
-                    fault_fire("shm.create", nbytes=packed.nbytes)
-                    segment = WaveSegment.create(packed)
-                except Exception:  # /dev/shm exhaustion, injected faults
-                    obs.counter("engine_shm_fallbacks_total").add(1)
-                else:
-                    obs.counter("engine_shm_segments_created_total").add(1)
-                    obs.counter("engine_shm_segment_bytes_total").add(segment.nbytes)
-                    self._live_segments.add(segment.descriptor()[0])
-                    descriptor = segment.descriptor()
-                    payloads = []
-                    start = 0
-                    for i in pending:
-                        stop = start + len(chunks[i])
-                        payloads.append(
-                            ("shm", self.params, descriptor, start, stop, want_obs, i)
-                        )
-                        start = stop
-                    # Serialized volume = what actually crosses the pipe:
-                    # descriptor-range messages, not the segment (which is
-                    # written once and mapped zero-copy by workers).
-                    obs.counter("engine_task_bytes_total", transport="shm").add(
-                        sum(len(pickle.dumps(p)) for p in payloads)
-                    )
-                    return payloads, segment
-        elif transport == "shm":
-            # Pinned shm on a non-forking pool: honor the pin as a
-            # counted fallback rather than undefined tracker behaviour.
-            obs.counter("engine_shm_fallbacks_total").add(1)
-        payloads = [
-            ("pickle", self.params, chunks[i], want_obs, i) for i in pending
-        ]
-        obs.counter("engine_task_bytes_total", transport="pickle").add(
-            sum(len(pickle.dumps(p)) for p in payloads)
-        )
-        return payloads, None
-
     def close(self) -> None:
-        """Terminate the pool and sweep any segment the normal unlink
-        missed (``engine_shm_segments_swept_total`` counts real sweeps;
-        the created/unlinked invariant is preserved either way)."""
+        """Terminate the pool."""
         self._teardown()
-        for name in sorted(self._live_segments):
-            if unlink_by_name(name):
-                obs.counter("engine_shm_segments_swept_total").add(1)
-                obs.counter("engine_shm_segments_unlinked_total").add(1)
-        self._live_segments.clear()
 
     def __enter__(self) -> "ResynthExecutor":
         return self
@@ -494,20 +360,14 @@ class ResynthExecutor:
                 fault_fire("worker.start", workers=self.workers)
                 if "fork" in mp.get_all_start_methods():
                     context = mp.get_context("fork")
-                    self._pool_is_fork = True
-                    # Workers must inherit the parent's resource tracker
-                    # for shm segment accounting to collapse cleanly.
-                    share_resource_tracker()
                 else:  # pragma: no cover - non-POSIX platforms
                     context = mp.get_context()
-                    self._pool_is_fork = False
                 self._pool = context.Pool(self.workers)
             except (OSError, ValueError, InjectedFault) as error:
                 # Sandboxed hosts (no fork permitted) land here: degrade
                 # to in-process execution, counted per cause and logged
                 # once so it never masquerades as a perf regression.
                 self._pool_broken = True
-                self._pool_is_fork = False
                 obs.counter(
                     "engine_pool_fallbacks_total", reason=type(error).__name__
                 ).add(1)

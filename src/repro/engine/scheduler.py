@@ -94,9 +94,6 @@ class EngineParams:
     elf_batched: bool = True
     executor: "ResynthExecutor | None" = None
     resynth_cache: "ResynthCache | None" = None
-    # Task transport of a pass-owned executor: "auto" | "shm" | "pickle"
-    # (see ResynthExecutor; an external ``executor`` keeps its own).
-    transport: str = "auto"
     # Latency budget for this pass: checked at wave boundaries and bound
     # onto every pooled chunk wait; expiry raises DeadlineExceeded with
     # the graph left at a consistent committed prefix (commits are
@@ -230,7 +227,7 @@ def engine_refactor(
     executor = params.executor
     own_executor = executor is None
     if own_executor:
-        executor = ResynthExecutor(workers, params.refactor, transport=params.transport)
+        executor = ResynthExecutor(workers, params.refactor)
     op = RefactorWaveOp(
         params.refactor,
         base_cache.npn_view(),

@@ -9,7 +9,7 @@ Three small modules, shared by every layer that can fail:
   surfaces as a typed :class:`repro.errors.DeadlineExceeded` carrying
   the best consistent prefix result instead of a hang.
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy` budgets/backoff
-  and the degradation ladder (``shm -> pickle -> sequential``), with
+  and the degradation ladder (``pickle -> sequential``), with
   every recovery decision counted on the :mod:`repro.obs` registry.
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
   registry (:func:`repro.resilience.faults.fire` at named sites) that
@@ -24,7 +24,6 @@ from .policy import (
     DEFAULT_RETRY_POLICY,
     DEGRADATION_LADDER,
     RetryPolicy,
-    next_rung,
     record_deadline,
     record_degradation,
     record_retry,
@@ -40,7 +39,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "RetryPolicy",
-    "next_rung",
     "record_deadline",
     "record_degradation",
     "record_retry",

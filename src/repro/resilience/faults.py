@@ -16,7 +16,6 @@ site                      consulted
                           (context: ``chunk`` = absolute chunk index)
 ``chunk.result``          in the parent, before each chunk-result wait
                           (context: ``chunk``, ``pids`` of the pool)
-``shm.create``            before allocating a wave shared-memory segment
 ``classifier.fire``       before a fused classifier round dispatches
 ``shard.circuit``         inside a serve shard process, before running one
                           circuit (context: ``pid``, ``shard``, ``circuit``)
@@ -36,7 +35,7 @@ Inactive injection is one ``None`` check per site — cheap enough to stay
 compiled in (the ``faults-idle`` row of ``BENCH_engine.json`` pins the
 overhead < 1%).  Plans install programmatically (:func:`install`,
 :func:`injected`) or from the ``REPRO_FAULTS`` environment variable,
-e.g. ``REPRO_FAULTS="worker.chunk=kill#chunk=0;shm.create=raise@1"``.
+e.g. ``REPRO_FAULTS="worker.chunk=kill#chunk=0;chunk.result=raise@1"``.
 Every triggered fault is counted: ``faults_injected_total{site,action}``.
 """
 

@@ -6,13 +6,13 @@ same way.  Failures are classified by the :mod:`repro.errors` taxonomy
 to retry is a :class:`RetryPolicy`; *what to fall back to* is the
 degradation ladder::
 
-    shm  ->  pickle  ->  sequential
+    pickle  ->  sequential
 
-Each rung trades throughput for robustness: shared-memory wave segments
-are the fast path, pickled chunk messages survive ``/dev/shm``
-exhaustion and mapping faults, and in-process sequential execution —
-bit-identical to the pooled path by construction (PR 1) — is the floor
-that can only fail if the computation itself is broken.
+Pooled execution over pickled chunk messages is the fast path; when a
+pool keeps losing chunks past its retry budget, in-process sequential
+execution — bit-identical to the pooled path by construction, since both
+run the same worker body — is the floor that can only fail if the
+computation itself is broken.
 
 Every decision is counted on the :mod:`repro.obs` registry so recovery
 is visible in any Prometheus/JSONL export:
@@ -32,17 +32,8 @@ from dataclasses import dataclass
 
 from .. import obs
 
-DEGRADATION_LADDER = ("shm", "pickle", "sequential")
-"""Transport rungs, fastest first; recovery only ever moves right."""
-
-
-def next_rung(current: str) -> str:
-    """The ladder rung below ``current`` (the floor maps to itself)."""
-    try:
-        index = DEGRADATION_LADDER.index(current)
-    except ValueError:  # "auto" and friends sit at the top of the ladder
-        index = 0
-    return DEGRADATION_LADDER[min(index + 1, len(DEGRADATION_LADDER) - 1)]
+DEGRADATION_LADDER = ("pickle", "sequential")
+"""Execution rungs, fastest first; recovery only ever moves right."""
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ service composes the serving stack end to end —
   counted on ``serve_rejected_total``) instead of an unbounded queue —
   under overload the service stays responsive and callers learn to back
   off *now*, not at timeout.
+* a **request-line bound** at the socket: a line longer than
+  :data:`MAX_REQUEST_LINE_BYTES` is read through to its newline and
+  discarded, answered ``{"ok": false, "error": {"type": "too_large",
+  ...}}`` and counted on ``serve_request_too_large_total``; the
+  connection stays open for the next request.
 * a **content-addressed result cache** (:class:`repro.serve.store.ResultStore`)
   keyed ``(structural digest, normalized script, registry version)``:
   repeat structures — whatever their node numbering or names — are
@@ -71,6 +76,10 @@ from .store import CachedResult, ResultStore
 from .stream import ServeParams
 
 _POLL_S = 0.2  # drain-thread wakeup to scan for dead shard processes
+
+MAX_REQUEST_LINE_BYTES = 1 << 16
+"""Longest request line the service buffers (asyncio's default stream
+limit); longer lines get a typed ``too_large`` reply."""
 
 
 @dataclass
@@ -154,7 +163,9 @@ class OptimizeService:
         )
         self._drain.start()
         self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.config.socket_path
+            self._handle_client,
+            path=self.config.socket_path,
+            limit=MAX_REQUEST_LINE_BYTES,
         )
 
     async def serve_forever(self) -> None:
@@ -214,20 +225,32 @@ class OptimizeService:
         """One connection: serve JSON-lines requests until EOF."""
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
-                try:
-                    message = json.loads(line)
-                    response = await self._dispatch(message)
-                except Exception as error:
-                    obs.counter(
-                        "serve_request_errors_total", type=type(error).__name__
-                    ).add(1)
+                if line is None:
+                    obs.counter("serve_request_too_large_total").add(1)
                     response = {
                         "ok": False,
-                        "error": {"type": "bad_request", "detail": str(error)},
+                        "error": {
+                            "type": "too_large",
+                            "limit": MAX_REQUEST_LINE_BYTES,
+                            "detail": "request line exceeds "
+                            f"{MAX_REQUEST_LINE_BYTES} bytes",
+                        },
                     }
+                else:
+                    try:
+                        message = json.loads(line)
+                        response = await self._dispatch(message)
+                    except Exception as error:
+                        obs.counter(
+                            "serve_request_errors_total", type=type(error).__name__
+                        ).add(1)
+                        response = {
+                            "ok": False,
+                            "error": {"type": "bad_request", "detail": str(error)},
+                        }
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -457,6 +480,25 @@ class OptimizeService:
                 "hit_rate": self.store.hit_rate,
             },
         }
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line, ``b""`` at EOF, or ``None`` when the line
+    overran the stream limit — in which case the whole line, newline
+    included, has been read and discarded."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial  # EOF: a final unterminated line, or b""
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
 
 
 def run_service(config: ServiceConfig) -> None:

@@ -6,18 +6,11 @@ least significant position).  This matches
 :func:`repro.aig.simulate.cone_truth` and scales to the 10-16 leaf cuts
 the refactor operator works on.
 
-Two representations coexist:
-
-* **Scalar**: one Python int per table.  CPython big-int bitwise ops beat
-  numpy on single tables up to ~13 variables, so every per-table
-  operation keeps this form.
-* **Packed**: a batch of tables as a ``(n_tables, n_words)`` uint64
-  array, bit ``i`` of table ``t`` at ``words[t, i >> 6] >> (i & 63)``.
-  This is the wire format of the engine's shared-memory wave transport
-  (:mod:`repro.engine.pack`) and the form the ``*_many`` kernels sweep —
-  one numpy pass over the whole batch instead of per-table Python loops.
-  ``tests/test_kernel_parity.py`` pins each ``*_many`` kernel against
-  its scalar sibling.
+Every per-table operation keeps this scalar form: CPython big-int
+bitwise ops beat numpy on single tables up to ~13 variables.  The one
+exception is :func:`expand_tt`, which switches to a vectorized minterm
+gather on wide targets; :func:`expand_tt_scalar` is its in-tree oracle
+and ``tests/test_kernel_parity.py`` pins the two against each other.
 """
 
 from __future__ import annotations
@@ -124,50 +117,6 @@ def expand_tt_scalar(tt: int, var_map: list[int], n_from: int, n_to: int) -> int
     return out
 
 
-# ----------------------------------------------------------------------
-# Packed word-array kernels
-# ----------------------------------------------------------------------
-
-
-def words_per_table(n_vars: int) -> int:
-    """uint64 words needed for one ``n_vars``-variable table (min 1)."""
-    return max(1, (1 << n_vars) >> 6)
-
-
-def tt_to_words(tt: int, n_vars: int) -> np.ndarray:
-    """Pack one table into a ``(words_per_table(n_vars),)`` uint64 array."""
-    n_words = words_per_table(n_vars)
-    raw = (tt & full_mask(n_vars)).to_bytes(n_words * 8, "little")
-    return np.frombuffer(raw, dtype="<u8").copy()
-
-
-def words_to_tt(words: np.ndarray, n_vars: int | None = None) -> int:
-    """Inverse of :func:`tt_to_words`; truncates to ``n_vars`` when given."""
-    value = int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
-    if n_vars is not None:
-        value &= full_mask(n_vars)
-    return value
-
-
-def pack_tts(tts: list[int], n_vars: int) -> np.ndarray:
-    """Pack a batch of tables into one ``(len(tts), n_words)`` uint64 array."""
-    n_words = words_per_table(n_vars)
-    ones = full_mask(n_vars)
-    raw = b"".join((tt & ones).to_bytes(n_words * 8, "little") for tt in tts)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(tts), n_words).copy()
-
-
-def unpack_tts(words: np.ndarray) -> list[int]:
-    """Inverse of :func:`pack_tts` (no truncation: words carry the width)."""
-    contiguous = np.ascontiguousarray(words, dtype="<u8")
-    stride = contiguous.shape[1] * 8
-    raw = contiguous.tobytes()
-    return [
-        int.from_bytes(raw[i * stride : (i + 1) * stride], "little")
-        for i in range(contiguous.shape[0])
-    ]
-
-
 def tt_to_bits(tt: int, n_vars: int) -> np.ndarray:
     """One uint8 per minterm (bit ``i`` of the table at index ``i``)."""
     n_bits = 1 << n_vars
@@ -183,50 +132,3 @@ def bits_to_tt(bits: np.ndarray) -> int:
         np.packbits(bits, bitorder="little").tobytes(), "little"
     )
 
-
-def cofactor0_many(words: np.ndarray, var: int, n_vars: int) -> np.ndarray:
-    """Negative cofactor of every packed table — the batch-axis form of
-    :func:`cofactor0` (one vectorized pass; bit-identical per table)."""
-    _check_packed(words, n_vars)
-    if var >= n_vars:
-        raise TruthTableError(f"variable {var} out of range for {n_vars} vars")
-    if (1 << var) < 64:
-        # The 2*2^var period divides the word: pure in-lane masking.
-        mask = np.uint64(var_mask(var, min(n_vars, 6)) & 0xFFFFFFFFFFFFFFFF)
-        shift = np.uint64(1 << var)
-        lo = words & ~mask
-        return lo | (lo << shift)
-    # Word-granular: blocks of 2^(var-6) words alternate low/high halves;
-    # duplicate each low half over its high sibling.
-    block = 1 << (var - 6)
-    shaped = words.reshape(words.shape[0], -1, 2, block)
-    out = np.empty_like(shaped)
-    out[:, :, 0, :] = shaped[:, :, 0, :]
-    out[:, :, 1, :] = shaped[:, :, 0, :]
-    return out.reshape(words.shape)
-
-
-def cofactor1_many(words: np.ndarray, var: int, n_vars: int) -> np.ndarray:
-    """Positive cofactor of every packed table (batch form of
-    :func:`cofactor1`)."""
-    _check_packed(words, n_vars)
-    if var >= n_vars:
-        raise TruthTableError(f"variable {var} out of range for {n_vars} vars")
-    if (1 << var) < 64:
-        mask = np.uint64(var_mask(var, min(n_vars, 6)) & 0xFFFFFFFFFFFFFFFF)
-        shift = np.uint64(1 << var)
-        hi = words & mask
-        return hi | (hi >> shift)
-    block = 1 << (var - 6)
-    shaped = words.reshape(words.shape[0], -1, 2, block)
-    out = np.empty_like(shaped)
-    out[:, :, 0, :] = shaped[:, :, 1, :]
-    out[:, :, 1, :] = shaped[:, :, 1, :]
-    return out.reshape(words.shape)
-
-
-def _check_packed(words: np.ndarray, n_vars: int) -> None:
-    if words.ndim != 2 or words.shape[1] != words_per_table(n_vars):
-        raise TruthTableError(
-            f"packed batch shape {words.shape} does not match {n_vars} vars"
-        )

@@ -219,10 +219,6 @@ class TestParallelExecutor:
                 [(0b1000, 2)], params
             )
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ReproError, match="transport"):
-            ResynthExecutor(2, RefactorParams(), transport="carrier-pigeon")
-
 
 @pytest.fixture
 def two_cores(monkeypatch):
@@ -232,69 +228,18 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
 
 
-class TestSharedMemoryTransport:
-    """The packed-wave shm transport: bit-identical, leak-free, crash-safe."""
-
-    def test_transports_are_bench_identical_and_leak_free(self, two_cores):
-        from repro import obs
-        from repro.aig.io_bench import to_text
-        from repro.engine.pack import leaked_segments
-
-        obs.reset()
-        before = leaked_segments()
-        g = layered_random_aig(12, 700, seed=7)
-        outputs = {}
-        for transport in ("shm", "pickle"):
-            out = g.clone()
-            engine_refactor(out, EngineParams(workers=2, transport=transport))
-            outputs[transport] = to_text(out)
-        assert outputs["shm"] == outputs["pickle"]
-        assert equivalent(g, out)
-        reg = obs.metrics()
-        created = reg.value("engine_shm_segments_created_total")
-        assert created > 0
-        assert created == reg.value("engine_shm_segments_unlinked_total")
-        # Descriptor messages are a fraction of the pickled task lists
-        # even on this deliberately small graph (production-size waves
-        # reduce further; test_single_wave_bytes_reduction pins that).
-        shm_bytes = reg.value("engine_task_bytes_total", transport="shm")
-        pickle_bytes = reg.value("engine_task_bytes_total", transport="pickle")
-        assert shm_bytes < 0.5 * pickle_bytes
-        assert leaked_segments() == before
-
-    def test_single_wave_bytes_reduction(self, two_cores):
-        """One realistic wave ships >= 80% fewer serialized bytes on shm."""
-        import random
-
-        from repro import obs
-        from repro.aig.simulate import full_mask
-
-        obs.reset()
-        rng = random.Random(13)
-        tasks = [(rng.getrandbits(1 << 10) & full_mask(10), 10) for _ in range(200)]
-        params = RefactorParams()
-        results = {}
-        for transport in ("shm", "pickle"):
-            with ResynthExecutor(2, params, transport=transport) as executor:
-                assert executor.will_pool(len(tasks))
-                results[transport] = executor.run(tasks)
-        assert results["shm"] == results["pickle"]
-        reg = obs.metrics()
-        shm_bytes = reg.value("engine_task_bytes_total", transport="shm")
-        pickle_bytes = reg.value("engine_task_bytes_total", transport="pickle")
-        assert shm_bytes <= 0.2 * pickle_bytes, (shm_bytes, pickle_bytes)
+class TestChunkContainment:
+    """A chunk whose worker body raises is recomputed in the parent."""
 
     def test_worker_crash_leaves_no_segments(self, two_cores, monkeypatch):
         import os as _os
 
         from repro import obs
         import repro.engine.parallel as parallel
-        from repro.engine.pack import leaked_segments
 
         obs.reset()
         obs.configure(enabled=True)
         try:
-            before = leaked_segments()
             parent_pid = _os.getpid()
             real = parallel.resynthesize_batch
 
@@ -309,14 +254,10 @@ class TestSharedMemoryTransport:
             monkeypatch.setattr(parallel, "resynthesize_batch", flaky)
             g = layered_random_aig(12, 700, seed=7)
             out = g.clone()
-            engine_refactor(out, EngineParams(workers=2, transport="shm"))
+            engine_refactor(out, EngineParams(workers=2))
             assert equivalent(g, out)
             reg = obs.metrics()
             assert reg.value("engine_worker_chunks_failed_total") > 0
-            created = reg.value("engine_shm_segments_created_total")
-            assert created > 0
-            assert created == reg.value("engine_shm_segments_unlinked_total")
-            assert leaked_segments() == before
         finally:
             obs.configure(enabled=False)
 

@@ -1,15 +1,13 @@
 """Randomized parity battery: every vectorized kernel vs its scalar oracle.
 
-PR 7 rewrote the truth-table hot loops (ISOP core, NPN canonizer,
-cofactor sweeps, ``expand_tt``, the batched cone-truth kernel) and added
-the packed word-array representation the shared-memory wave transport
-ships.  Each rewrite claims bit-identity with the straightforward
-formulation it replaced; this module pins every claim against an
-embedded or retained scalar reference over hundreds of random tables and
-cut shapes, plus the degenerate corners (constants, single-leaf cuts,
-duplicate leaves) where index arithmetic likes to go wrong.  The batch
-reconvergence-cut kernel behind ELF's pass 1 is pinned the same way,
-against the scalar ``reconv_cut``.
+The truth-table hot loops (ISOP core, NPN canonizer, ``expand_tt``, the
+batched cone-truth kernel) are rewrites of a straightforward
+formulation, and each claims bit-identity with it.  This module pins
+every claim against an embedded or retained scalar reference over
+hundreds of random tables and cut shapes, plus the degenerate corners
+(constants, single-leaf cuts, duplicate leaves) where index arithmetic
+likes to go wrong.  The batch reconvergence-cut kernel behind ELF's
+pass 1 is pinned the same way, against the scalar ``reconv_cut``.
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from repro.circuits import epfl_circuit
 from repro.cuts import batch as batch_cuts
 from repro.cuts.batch import batch_reconv_cuts
 from repro.cuts.reconv import reconv_cut
-from repro.errors import ReproError, TruthTableError
-from repro.engine.pack import PackedTasks, WaveSegment, leaked_segments
+from repro.errors import TruthTableError
 from repro.opt import rewrite
 from repro.tt import isop, isop_exact, npn_canonize, sop_tt
 from repro.tt.isop import clear_isop_memo
@@ -34,17 +31,10 @@ from repro.tt.npn import _FULL, apply_transform, npn_canonize_scalar
 from repro.tt.truth import (
     bits_to_tt,
     cofactor0,
-    cofactor0_many,
     cofactor1,
-    cofactor1_many,
     expand_tt,
     expand_tt_scalar,
-    pack_tts,
     tt_to_bits,
-    tt_to_words,
-    unpack_tts,
-    words_per_table,
-    words_to_tt,
 )
 
 from .util import random_aig
@@ -160,43 +150,7 @@ class TestNpnParity:
             npn_canonize(1 << 16)
 
 
-# ----------------------------------------------------------------------
-# Packed word-array kernels
-# ----------------------------------------------------------------------
-
-
-class TestPackedCofactors:
-    @pytest.mark.parametrize("n_vars", [1, 2, 5, 6, 7, 8, 10])
-    def test_both_cofactors_all_vars(self, n_vars):
-        rng = random.Random(75 + n_vars)
-        tables = _random_tables(rng, n_vars, 40)
-        words = pack_tts(tables, n_vars)
-        for var in range(n_vars):
-            lo = cofactor0_many(words, var, n_vars)
-            hi = cofactor1_many(words, var, n_vars)
-            for row in range(len(tables)):
-                assert words_to_tt(lo[row]) == cofactor0(tables[row], var, n_vars)
-                assert words_to_tt(hi[row]) == cofactor1(tables[row], var, n_vars)
-
-    def test_shape_and_range_checks(self):
-        words = pack_tts([0b1010], 2)
-        with pytest.raises(TruthTableError):
-            cofactor0_many(words, 2, 2)  # var out of range
-        with pytest.raises(TruthTableError):
-            cofactor1_many(words, 0, 7)  # wrong word width for 7 vars
-
-
 class TestPackRoundTrips:
-    @pytest.mark.parametrize("n_vars", [0, 1, 3, 6, 7, 9])
-    def test_single_and_batch_word_round_trips(self, n_vars):
-        rng = random.Random(76 + n_vars)
-        tables = _random_tables(rng, n_vars, 50)
-        for tt in tables:
-            assert words_to_tt(tt_to_words(tt, n_vars)) == tt
-        packed = pack_tts(tables, n_vars)
-        assert packed.shape == (len(tables), words_per_table(n_vars))
-        assert unpack_tts(packed) == tables
-
     @pytest.mark.parametrize("n_vars", [0, 2, 6, 8])
     def test_bit_expansion_round_trips(self, n_vars):
         rng = random.Random(77 + n_vars)
@@ -236,7 +190,7 @@ class TestExpandParity:
 
 
 # ----------------------------------------------------------------------
-# Batched cone truths: packed gather program vs scalar loop vs cone_truth
+# Batched cone truths: one shared ranking pass vs per-cone cone_truth
 # ----------------------------------------------------------------------
 
 
@@ -257,8 +211,7 @@ class TestBatchConeParity:
             cones = _graph_cones(g)
             assert len(cones) > 15
             expected = [cone_truth(g, root, list(leaves)) for root, leaves, _ in cones]
-            assert batch_cone_truths(g, cones, packed=False) == expected
-            assert batch_cone_truths(g, cones, packed=True) == expected
+            assert batch_cone_truths(g, cones) == expected
 
     def test_degenerate_cones(self):
         g = AIG("deg")
@@ -278,16 +231,14 @@ class TestBatchConeParity:
             (node, (0, a >> 1, b >> 1), frozenset({node})),
         ]
         expected = [cone_truth(g, root, list(leaves)) for root, leaves, _ in cones]
-        for packed in (False, True):
-            assert batch_cone_truths(g, cones, packed=packed) == expected
+        assert batch_cone_truths(g, cones) == expected
 
     def test_uncovered_cone_raises_on_both_routes(self):
         g = random_aig(6, 40, 2, seed=5)
         node = next(iter(g.and_ids()))
         bad = [(node, (node + 1000,), frozenset({node}))]
-        for packed in (False, True):
-            with pytest.raises(TruthTableError):
-                batch_cone_truths(g, bad, packed=packed)
+        with pytest.raises(TruthTableError):
+            batch_cone_truths(g, bad)
 
 
 # ----------------------------------------------------------------------
@@ -357,59 +308,3 @@ class TestBatchCutParity:
         monkeypatch.setattr(batch_cuts, "CHUNK_BYTES", 1)
         g = _rewritten("log2")
         _assert_batch_matches_scalar(g, g.and_ids(), 6)
-
-
-# ----------------------------------------------------------------------
-# Wave payloads: pack -> shared-memory segment -> rebuild, bit-exact
-# ----------------------------------------------------------------------
-
-
-class TestWavePayloads:
-    def test_packed_tasks_round_trip_mixed_widths(self):
-        rng = random.Random(79)
-        tasks = [(0, 1), (full_mask(4), 4)]  # constants ride along
-        tasks += [
-            (rng.getrandbits(1 << n) & full_mask(n), n)
-            for n in (rng.randint(1, 10) for _ in range(300))
-        ]
-        packed = PackedTasks.pack(tasks)
-        assert packed.n_tasks == len(tasks)
-        assert packed.tasks() == tasks
-        # Range slicing rebuilds exactly the requested window.
-        assert packed.tasks(5, 12) == tasks[5:12]
-
-    def test_empty_wave(self):
-        packed = PackedTasks.pack([])
-        assert packed.n_tasks == 0
-        assert packed.tasks() == []
-
-    def test_segment_round_trip_and_lifecycle(self):
-        before = leaked_segments()
-        rng = random.Random(80)
-        tasks = [
-            (rng.getrandbits(1 << n) & full_mask(n), n)
-            for n in (rng.randint(1, 8) for _ in range(120))
-        ]
-        segment = WaveSegment.create(PackedTasks.pack(tasks))
-        try:
-            attached = WaveSegment.attach(segment.descriptor())
-            try:
-                assert attached.packed().tasks() == tasks
-                with pytest.raises(ReproError):
-                    attached.unlink()  # only the creator may unlink
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-        assert leaked_segments() == before
-
-    def test_single_task_segment(self):
-        before = leaked_segments()
-        segment = WaveSegment.create(PackedTasks.pack([(1, 1)]))
-        try:
-            assert segment.packed().tasks() == [(1, 1)]
-        finally:
-            segment.close()
-            segment.unlink()
-        assert leaked_segments() == before

@@ -6,8 +6,7 @@ deterministically through the fault-injection registry
 flakiness handling.  The invariants pinned throughout:
 
 * recovery is **transparent**: results are bit-identical to a clean run
-  on every path (retry, transport degradation, sequential floor);
-* recovery is **clean**: zero ``/dev/shm`` segments survive any failure;
+  on every path (retry, sequential floor);
 * recovery is **counted**: the obs registry carries exact death / retry /
   degradation / deadline counters, asserted to the integer.
 
@@ -26,7 +25,6 @@ import repro.engine.parallel as parallel
 from repro import obs
 from repro.circuits.random_aig import layered_random_aig
 from repro.engine import EngineParams, engine_refactor
-from repro.engine.pack import PackedTasks, WaveSegment, leaked_segments, unlink_by_name
 from repro.engine.parallel import ResynthExecutor, resynthesize_batch
 from repro.errors import (
     DeadlineExceeded,
@@ -38,13 +36,11 @@ from repro.errors import (
 from repro.opt.refactor import RefactorParams
 from repro.opt.session import OptSession
 from repro.resilience import (
-    DEGRADATION_LADDER,
     Deadline,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     RetryPolicy,
-    next_rung,
 )
 from repro.resilience import faults
 from repro.serve.pool import SharedClassifierService
@@ -162,13 +158,6 @@ class TestRetryPolicy:
         assert policy.backoff(2) == pytest.approx(0.15)  # capped
         assert policy.backoff(10) == pytest.approx(0.15)
 
-    def test_ladder_moves_right_only(self):
-        assert DEGRADATION_LADDER == ("shm", "pickle", "sequential")
-        assert next_rung("shm") == "pickle"
-        assert next_rung("pickle") == "sequential"
-        assert next_rung("sequential") == "sequential"  # the floor holds
-        assert next_rung("auto") == "pickle"  # unknowns sit at the top
-
 
 # --------------------------------------------------------------------------
 # Fault spec grammar + registry
@@ -185,7 +174,7 @@ class TestFaultSpecs:
         assert spec.match == ("chunk", "7")
 
     def test_parse_minimal(self):
-        spec = FaultSpec.parse("shm.create=raise")
+        spec = FaultSpec.parse("worker.start=raise")
         assert spec.hits == frozenset()
         assert spec.match is None
 
@@ -253,20 +242,16 @@ class TestWorkerDeathRecovery:
     def test_kill_ladder_exact_counters_and_bit_identity(self, two_cores):
         """A worker SIGKILLed on every attempt walks the whole ladder.
 
-        Round 1 (shm) loses chunk 0 to a death -> retry 1 degrades the
-        transport to pickle; rounds 2 and 3 die the same way; the retry
-        budget (2) exhausts and the lost chunk lands on the sequential
-        floor.  Results stay bit-identical throughout and every decision
-        is counted exactly.
+        Rounds 1, 2 and 3 each lose chunk 0 to a death; the retry budget
+        (2) exhausts and the lost chunk lands on the sequential floor.
+        Results stay bit-identical throughout and every decision is
+        counted exactly.
         """
         tasks = _resynth_tasks()
         params = RefactorParams()
         expected = resynthesize_batch(tasks, params)
-        before = leaked_segments()
         with faults.injected("worker.chunk=kill#chunk=0"):
-            with ResynthExecutor(
-                2, params, transport="shm", chunk_timeout_s=1.0
-            ) as executor:
+            with ResynthExecutor(2, params, chunk_timeout_s=1.0) as executor:
                 assert executor.will_pool(len(tasks))
                 out = executor.run(tasks)
                 assert executor.in_process  # budget exhausted: floor is sticky
@@ -274,10 +259,8 @@ class TestWorkerDeathRecovery:
         reg = obs.metrics()
         assert reg.value("engine_worker_deaths_total") == 3
         assert reg.value("engine_retries_total") == 2
-        assert reg.value("engine_degradations_total", to="pickle") == 1
         assert reg.value("engine_degradations_total", to="sequential") == 1
         assert reg.value("engine_worker_hangs_total") == 0
-        assert leaked_segments() == before
 
     def test_lost_result_retries_only_lost_chunks(self, two_cores):
         """A single lost chunk result recovers in one retry round.
@@ -290,17 +273,13 @@ class TestWorkerDeathRecovery:
         params = RefactorParams()
         expected = resynthesize_batch(tasks, params)
         with faults.injected("chunk.result=raise@1"):
-            with ResynthExecutor(
-                2, params, transport="shm", chunk_timeout_s=5.0
-            ) as executor:
+            with ResynthExecutor(2, params, chunk_timeout_s=5.0) as executor:
                 out = executor.run(tasks)
                 assert not executor.in_process  # pool survived
         assert out == expected
         reg = obs.metrics()
         assert reg.value("engine_retries_total") == 1
         assert reg.value("engine_worker_deaths_total") == 0
-        # The failed round rode shm, so the retry stepped to pickle.
-        assert reg.value("engine_degradations_total", to="pickle") == 1
         assert reg.value("engine_degradations_total", to="sequential") == 0
         assert (
             reg.value("engine_chunk_failures_total", reason="InjectedFault") == 1
@@ -315,7 +294,6 @@ class TestWorkerDeathRecovery:
             with ResynthExecutor(
                 2,
                 params,
-                transport="pickle",
                 chunk_timeout_s=0.4,
                 retry_policy=RetryPolicy(max_retries=1, backoff_s=0.01),
             ) as executor:
@@ -347,39 +325,6 @@ class TestWorkerDeathRecovery:
         assert reg.value("engine_worker_deaths_total") == 0
         assert reg.value("engine_retries_total") == 0
 
-    def test_shm_create_fault_falls_back_to_pickle(self, two_cores):
-        """Segment-creation failure reroutes the round over pickle."""
-        tasks = _resynth_tasks()
-        params = RefactorParams()
-        expected = resynthesize_batch(tasks, params)
-        before = leaked_segments()
-        with faults.injected("shm.create=raise"):
-            with ResynthExecutor(2, params, transport="shm") as executor:
-                out = executor.run(tasks)
-        assert out == expected
-        reg = obs.metrics()
-        assert reg.value("engine_shm_fallbacks_total") == 1
-        assert reg.value("engine_shm_segments_created_total") == 0
-        assert reg.value("engine_task_bytes_total", transport="pickle") > 0
-        assert reg.value("engine_retries_total") == 0
-        assert leaked_segments() == before
-
-    def test_close_sweeps_segments_the_unlink_missed(self):
-        """A segment name still registered at close() is swept."""
-        packed = PackedTasks.pack(_resynth_tasks(n=8))
-        segment = WaveSegment.create(packed)
-        name = segment.descriptor()[0]
-        segment.close()  # mapping dropped, /dev/shm entry still live
-        executor = ResynthExecutor(2, RefactorParams())
-        executor._live_segments.add(name)
-        executor.close()
-        assert not unlink_by_name(name)  # already gone: the sweep got it
-        reg = obs.metrics()
-        assert reg.value("engine_shm_segments_swept_total") == 1
-
-    def test_unlink_by_name_missing_segment(self):
-        assert not unlink_by_name("psm_no_such_segment_xyz")
-
 
 class TestEngineWideRecovery:
     """Worker death mid-wave, through the full engine pass."""
@@ -392,7 +337,6 @@ class TestEngineWideRecovery:
         with ResynthExecutor(2, RefactorParams(), chunk_timeout_s=5.0) as executor:
             engine_refactor(clean, EngineParams(executor=executor))
 
-        before = leaked_segments()
         faulted = g.clone()
         # Lose one chunk result in the parent mid-pass: the engine's
         # executor retries it; the pass output must not change.
@@ -404,7 +348,6 @@ class TestEngineWideRecovery:
         assert to_text(faulted) == to_text(clean)
         assert equivalent(g, faulted)
         assert obs.metrics().value("engine_retries_total") == 1
-        assert leaked_segments() == before
 
     def test_mid_wave_sigkill_is_transparent(self, two_cores):
         """SIGKILL a pool worker mid-wave; the pass result is unchanged."""
@@ -415,7 +358,6 @@ class TestEngineWideRecovery:
         with ResynthExecutor(2, RefactorParams(), chunk_timeout_s=5.0) as executor:
             engine_refactor(clean, EngineParams(executor=executor))
 
-        before = leaked_segments()
         faulted = g.clone()
         with faults.injected("worker.chunk=kill@1#chunk=0"):
             with ResynthExecutor(
@@ -430,7 +372,6 @@ class TestEngineWideRecovery:
         reg = obs.metrics()
         assert reg.value("engine_worker_deaths_total") >= 1
         assert reg.value("engine_retries_total") >= 1
-        assert leaked_segments() == before
 
 
 # --------------------------------------------------------------------------

@@ -5,23 +5,27 @@ results are byte-identical to blocking derivation at ``workers=1``
 (cold, warm-through-cache, and across an injected shard-process kill
 with only that shard's circuits re-run), and the asyncio service
 applies admission control and typed validation before any shard sees a
-request.
+request, including an oversized request line.
 """
 
 import asyncio
+import json
 import multiprocessing
 import os
+import socket
 import time
 
 import pytest
 
 from repro import obs
 from repro.aig.io_bench import to_text
+from repro.circuits import layered_random_aig
 from repro.harness import serve_throughput
 from repro.opt import run_flow
 from repro.resilience import faults
 from repro.serve import ResultStore, ServeParams, serve_suite_procs
 from repro.serve.service import (
+    MAX_REQUEST_LINE_BYTES,
     OptimizeService,
     ServiceConfig,
     request,
@@ -152,32 +156,45 @@ class TestServiceValidation:
         assert not response["ok"] and response["error"]["type"] == "unknown_op"
 
 
+def start_service(socket_path):
+    """Fork ``python -m repro serve``'s body on ``socket_path``; wait for ping."""
+    config = ServiceConfig(socket_path=socket_path, script=FLOW, n_shards=1, workers=1)
+    proc = multiprocessing.get_context("fork").Process(
+        target=run_service, args=(config,)
+    )
+    proc.start()
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        assert proc.is_alive(), "service process exited early"
+        if os.path.exists(socket_path):
+            try:
+                if request(socket_path, {"op": "ping"}, timeout=2.0).get("ok"):
+                    return proc
+            except OSError:
+                pass
+        time.sleep(0.05)
+    proc.kill()
+    proc.join()
+    pytest.fail("service did not become ready")
+
+
+def stop_service(proc, socket_path):
+    if proc.is_alive():
+        request(socket_path, {"op": "shutdown"})
+        proc.join(timeout=15)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+
+
 @pytest.mark.slow
 class TestServiceEndToEnd:
     def test_miss_then_byte_identical_hit_over_socket(self, tmp_path):
         socket_path = str(tmp_path / "serve.sock")
-        config = ServiceConfig(
-            socket_path=socket_path, script=FLOW, n_shards=1, workers=1
-        )
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=run_service, args=(config,))
-        proc.start()
+        proc = start_service(socket_path)
         g = random_aig(6, 90, 3, seed=5, name="e2e")
         bench = to_text(g)
         try:
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                assert proc.is_alive(), "service process exited early"
-                if os.path.exists(socket_path):
-                    try:
-                        if request(socket_path, {"op": "ping"}, timeout=2.0).get("ok"):
-                            break
-                    except OSError:
-                        pass
-                time.sleep(0.05)
-            else:
-                pytest.fail("service did not become ready")
-
             first = request(socket_path, {"op": "optimize", "name": "e2e", "bench": bench})
             assert first["ok"] and first["cached"] is False
             expected, _ = run_flow(g.clone(), FLOW)
@@ -200,3 +217,46 @@ class TestServiceEndToEnd:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
+
+    def test_oversized_line_is_typed_and_connection_survives(self, tmp_path):
+        """A request line over the limit gets ``too_large``; the same
+        connection then serves a normal optimize request."""
+        socket_path = str(tmp_path / "serve.sock")
+        # The forked service starts from this process's registry.
+        registry = obs.metrics()
+        too_large0 = registry.total("serve_request_too_large_total")
+        rejected0 = registry.total("serve_rejected_total")
+        proc = start_service(socket_path)
+        big = layered_random_aig(14, 5500, seed=11, name="layered-5k")
+        oversized = {"op": "optimize", "name": "layered-5k", "bench": to_text(big)}
+        line = json.dumps(oversized).encode() + b"\n"
+        assert len(line) > MAX_REQUEST_LINE_BYTES
+        small = random_aig(6, 90, 3, seed=6, name="after")
+        follow_up = {"op": "optimize", "name": "after", "bench": to_text(small)}
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(60.0)
+                sock.connect(socket_path)
+                replies = sock.makefile("rb")
+                sock.sendall(line)
+                rejected = json.loads(replies.readline())
+                assert not rejected["ok"]
+                assert rejected["error"]["type"] == "too_large"
+                assert rejected["error"]["limit"] == MAX_REQUEST_LINE_BYTES
+                sock.sendall(json.dumps(follow_up).encode() + b"\n")
+                served = json.loads(replies.readline())
+                replies.close()
+            assert served["ok"] and served["cached"] is False
+            expected, _ = run_flow(small.clone(), FLOW)
+            assert served["bench"] == to_text(expected)
+
+            text = request(socket_path, {"op": "metrics"})["text"]
+            samples = obs.parse_prometheus(text)
+
+            def total(name):
+                return sum(value for _labels, value in samples.get(name, []))
+
+            assert total("serve_request_too_large_total") - too_large0 == 1
+            assert total("serve_rejected_total") == rejected0
+        finally:
+            stop_service(proc, socket_path)
