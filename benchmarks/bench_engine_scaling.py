@@ -220,7 +220,6 @@ FAULT_SITES = (
     "worker.start",
     "worker.chunk",
     "chunk.result",
-    "classifier.fire",
 )
 
 

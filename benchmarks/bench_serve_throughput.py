@@ -1,13 +1,11 @@
-"""Sharded serving throughput: many circuits in flight, fused ELF inference.
+"""Sharded serving throughput: many circuits in flight on shard processes.
 
 A suite of 9 circuits (the tiny EPFL-like six plus three synthetic
-designs) is served through an ELF flow across 3 shards.  The run records
+designs) is served through an ELF flow across 3 shard processes.  The
+run records
 
 * the **streamed completion order** — results are consumed as circuits
   finish, not after the slowest shard;
-* **classifier batch occupancy** per shard — how many circuits and
-  feature rows each fused inference served, and the fraction of
-  dispatches cross-circuit fusion eliminated;
 * a **byte-identity audit** — at ``workers=1`` every streamed result is
   re-derived by a blocking per-circuit ``run_flow`` and the BENCH texts
   must match exactly (the serving layer's correctness contract);
@@ -15,7 +13,7 @@ designs) is served through an ELF flow across 3 shards.  The run records
   runtimes — and the content-addressed cache **hit rate** of the run.
 
 A second measurement, :func:`run_cold_warm`, serves the same suite twice
-through the *process-sharded* path with one shared
+with one shared
 :class:`repro.serve.ResultStore` — a cold pass (0% repeat traffic) and a
 warm pass (100% repeats, every circuit answered from the cache) — and
 folds the pair into the repo-level ``BENCH_engine.json`` trajectory as
@@ -23,9 +21,8 @@ folds the pair into the repo-level ``BENCH_engine.json`` trajectory as
 every hit is byte-identical to its cold miss, at double-digit speedup.
 
 Results go to ``benchmarks/results/serve_throughput.json`` alongside the
-rendered table.  Throughput on a single-core container reflects the GIL
-(circuit threads interleave); the shape that matters everywhere is the
-occupancy/amortization column, which is timing-independent.
+rendered table.  Throughput depends on the cores behind the shard
+processes; the ``cpu_count`` field records them.
 
 Runs standalone too: ``PYTHONPATH=src python benchmarks/bench_serve_throughput.py``.
 """
@@ -39,10 +36,10 @@ from repro.circuits import epfl_suite, layered_random_aig, random_aig
 from repro.elf import collect_dataset, train_leave_one_out
 from repro.harness import format_table, serve_throughput, write_report
 from repro.ml import TrainConfig
-from repro.serve import ResultStore, ServeParams, serve_suite_procs
+from repro.serve import ResultStore, ServeParams, serve_suite
 
 FLOW = "b; elf"
-COLD_WARM_FLOW = "b; rf"  # classifier-less: the process path serves it as-is
+COLD_WARM_FLOW = "b; rf"  # classifier-less: the flow the service runs
 N_SHARDS = 3
 WORKERS = 1  # the deterministic mode the byte-identity contract covers
 
@@ -131,25 +128,12 @@ def run_serve(flow=FLOW, n_shards=N_SHARDS, workers=WORKERS) -> dict:
             }
             for row in rows
         ],
-        "fusion": [
-            {
-                "shard": shard,
-                "n_calls": stats.n_calls,
-                "n_subbatches": stats.n_subbatches,
-                "n_rows": stats.n_rows,
-                "mean_occupancy": stats.mean_occupancy,
-                "mean_rows_per_call": stats.mean_rows,
-                "amortization": stats.amortization,
-            }
-            for shard, stats in sorted(report.fusion.items())
-        ],
         # Straight off the obs registry (per-circuit latency + outcome
-        # counters recorded by the serve tier itself): the audit numbers
-        # above must agree with these or the instrumentation is lying.
+        # counters the shard processes recorded and shipped home): the
+        # audit numbers above must agree with these or the
+        # instrumentation is lying.
         "registry": {
             "circuits_ok": obs.metrics().total("serve_circuits_total"),
-            "fusion_rounds": obs.metrics().total("serve_fusion_rounds_total"),
-            "fusion_subbatches": obs.metrics().total("serve_fusion_subbatches_total"),
             "latency_sum_s": sum(
                 h.sum
                 for h in obs.metrics().histograms()
@@ -167,7 +151,7 @@ def run_serve(flow=FLOW, n_shards=N_SHARDS, workers=WORKERS) -> dict:
 
 
 def run_cold_warm(flow=COLD_WARM_FLOW, n_shards=N_SHARDS, workers=WORKERS) -> dict:
-    """Serve the suite twice through shard processes, one shared cache.
+    """Serve the suite twice, one shared cache.
 
     The cold pass sees 0% repeat traffic (every lookup misses, every
     circuit runs in a shard process); the warm pass is 100% repeats —
@@ -183,7 +167,7 @@ def run_cold_warm(flow=COLD_WARM_FLOW, n_shards=N_SHARDS, workers=WORKERS) -> di
     passes = {}
     for mode in ("cold", "warm"):
         before = (store.hits, store.misses)
-        report = serve_suite_procs(suite, params, store=store)
+        report = serve_suite(suite, params, store=store)
         runtimes = [r.runtime for r in report.results]
         lookups = (store.hits - before[0]) + (store.misses - before[1])
         passes[mode] = {
@@ -259,23 +243,6 @@ def render(payload: dict) -> str:
             f"cache hit rate {100 * payload['cache']['hit_rate']:.0f}%)"
         ),
     )
-    fusion_rows = [
-        [
-            point["shard"],
-            point["n_calls"],
-            point["n_subbatches"],
-            point["n_rows"],
-            f"{point['mean_occupancy']:.2f}",
-            f"{point['mean_rows_per_call']:.0f}",
-            f"{100 * point['amortization']:.0f}%",
-        ]
-        for point in payload["fusion"]
-    ]
-    fusion_table = format_table(
-        ["Shard", "Fused calls", "Requests", "Rows", "Circuits/call", "Rows/call", "Saved"],
-        fusion_rows,
-        title="Classifier batch occupancy (cross-circuit fusion)",
-    )
     cold_warm = payload["cold_warm"]
     cw_rows = [
         [
@@ -293,12 +260,12 @@ def render(payload: dict) -> str:
         ["Pass", "Wall", "Circuits/s", "Hit rate", "p50", "p95", "p99"],
         cw_rows,
         title=(
-            f"Cold vs warm (process shards, flow {cold_warm['flow']!r}): "
+            f"Cold vs warm (flow {cold_warm['flow']!r}): "
             f"{cold_warm['speedup']:.1f}x warm speedup, byte-identical="
             f"{cold_warm['byte_identical']}"
         ),
     )
-    return table + "\n" + fusion_table + "\n" + cw_table
+    return table + "\n" + cw_table
 
 
 def test_serve_throughput(benchmark):
@@ -315,13 +282,9 @@ def test_serve_throughput(benchmark):
     for point in payload["results"]:
         assert point["error"] is None, point
         assert point["identical_to_sequential"] is True, point
-    # Every fused call in a multi-circuit shard must batch across circuits.
-    multi = [
-        point
-        for point in payload["fusion"]
-        if len(payload["shard_plan"][point["shard"]]) > 1
-    ]
-    assert multi and all(point["mean_occupancy"] > 1.0 for point in multi), payload["fusion"]
+    # Shard processes record serve_circuits_total; their deltas reach
+    # this process's registry once per circuit.
+    assert payload["registry"]["circuits_ok"] == payload["n_circuits"]
     # The cold/warm cache contract: a fully-warm pass answers everything
     # from the content-addressed store, byte-identical, >= 10x faster.
     cold_warm = payload["cold_warm"]

@@ -16,8 +16,8 @@ Subpackages: ``aig`` (the AND-inverter-graph substrate), ``cuts``,
 ``tt`` (truth tables/ISOP/NPN), ``factor`` (algebraic factoring),
 ``opt`` (refactor/rewrite/resub/balance/flows), ``ml`` (NumPy training
 stack), ``elf`` (the paper's contribution), ``engine`` (conflict-aware
-parallel refactoring), ``serve`` (sharded multi-circuit serving with
-cross-circuit fused classification), ``circuits`` (benchmark
+parallel refactoring), ``serve`` (sharded multi-circuit serving on
+shard processes), ``circuits`` (benchmark
 generators), ``verify`` (SAT/CEC), ``analysis`` (t-SNE/SHAP), and
 ``harness`` (experiment drivers).
 """

@@ -103,10 +103,6 @@ class ElfClassifier:
     def _normalize(self, features: np.ndarray) -> np.ndarray:
         """The MVN node: z-score a batch by its own statistics when it is
         large enough to have meaningful ones, else by the fallback stats.
-
-        The single normalization path shared by plain and fused
-        inference — per-batch semantics must stay identical between the
-        two for the serving layer's fusion guarantee to hold.
         """
         if self.batch_normalize and features.shape[0] >= MIN_BATCH_FOR_MVN:
             mean = features.mean(axis=0)
@@ -126,43 +122,6 @@ class ElfClassifier:
     def keep_mask(self, features: np.ndarray) -> np.ndarray:
         """Boolean mask: True = attempt resynthesis, False = prune."""
         return self.predict_proba(features) >= self.threshold
-
-    # -- cross-circuit batch fusion ------------------------------------------
-
-    def fused_predict_proba(self, batches: list[np.ndarray]) -> list[np.ndarray]:
-        """Classify several independent batches with one fused forward pass.
-
-        This is the serving layer's amortization hook: each batch keeps
-        *its own* MVN statistics (so per-batch semantics — and therefore
-        per-circuit standardization — are preserved exactly), but the
-        normalized rows are stacked into a single matrix and pushed
-        through the network once.  The returned probabilities match what
-        per-batch :meth:`predict_proba` calls would produce to within
-        the last ulp (BLAS may pick a different kernel for the stacked
-        shape); keep/prune decisions are unchanged unless a probability
-        sits within float rounding of the threshold.
-        """
-        z_blocks: list[np.ndarray] = []
-        lengths: list[int] = []
-        for features in batches:
-            features = np.asarray(features, dtype=np.float64)
-            lengths.append(features.shape[0])
-            if features.shape[0] == 0:
-                continue
-            z_blocks.append(self._normalize(features))
-        if not z_blocks:
-            return [np.zeros(0) for _ in lengths]
-        fused = _sigmoid(self.model.forward_logits(np.concatenate(z_blocks)))
-        out: list[np.ndarray] = []
-        offset = 0
-        for n in lengths:
-            out.append(fused[offset : offset + n])
-            offset += n
-        return out
-
-    def fused_keep_masks(self, batches: list[np.ndarray]) -> list[np.ndarray]:
-        """Per-batch keep masks from one fused inference (see above)."""
-        return [p >= self.threshold for p in self.fused_predict_proba(batches)]
 
     # -- persistence ---------------------------------------------------------
 

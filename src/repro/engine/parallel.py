@@ -176,8 +176,8 @@ class ResynthExecutor:
     def warm(self) -> bool:
         """Fork the worker pool now (if pooling applies); True when live.
 
-        Long-lived owners (the serving layer) call this from the main
-        thread before spawning circuit threads: forking a process pool
+        Long-lived owners (a serving shard) call this before any other
+        thread can run: forking a process pool
         while sibling threads run is undefined-behaviour territory on
         POSIX, so the fork is front-loaded to a single-threaded moment.
         """

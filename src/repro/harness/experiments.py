@@ -313,8 +313,8 @@ def serve_throughput(
 
     Returns ``(rows, report)``: one :class:`ServeThroughputRow` per
     circuit in completion order, plus the underlying
-    :class:`repro.serve.ServeReport` (shard plan, per-shard classifier
-    fusion stats, wall time / circuits-per-second).  With
+    :class:`repro.serve.ServeReport` (shard plan, wall time /
+    circuits-per-second).  With
     ``check_identity`` every streamed result is re-derived by a blocking
     sequential ``run_flow`` and compared byte for byte — the serving
     layer's correctness contract at ``workers=1``.  ``store`` (a
@@ -326,9 +326,7 @@ def serve_throughput(
     from ..opt.session import OptSession
     from ..serve import ServeParams, serve_suite
 
-    params = ServeParams(
-        flow=flow, n_shards=n_shards, workers=workers, keep_graphs=False
-    )
+    params = ServeParams(flow=flow, n_shards=n_shards, workers=workers)
     report = serve_suite(suite, params, classifier=classifier, store=store)
     rows = []
     # One blocking session re-derives every circuit, with per-run caches

@@ -14,7 +14,8 @@ engine, the flow/session layer, the worker pool and the serve tier:
   gauges / histograms (:mod:`repro.obs.metrics`).  Worker processes ship
   per-chunk deltas home as serialized snapshots piggybacked on pool task
   results (:func:`merge_worker_snapshot`) — no extra IPC round-trips,
-  and an errored chunk loses only its own delta.
+  and an errored chunk loses only its own delta.  Serve shard processes
+  ship each request's delta (:func:`snapshot_delta`) on its reply.
 * **Exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON
   (load a flow in ``chrome://tracing`` / Perfetto and read waves off a
   timeline), Prometheus text format, and round-trippable JSONL; the
@@ -52,7 +53,14 @@ from .export import (
     read_jsonl,
     validate_chrome_trace,
 )
-from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import (
+    DEFAULT_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    snapshot_delta,
+)
 
 _lock = threading.Lock()
 _enabled = False
@@ -160,6 +168,7 @@ __all__ = [
     "prometheus_text",
     "read_jsonl",
     "reset",
+    "snapshot_delta",
     "span",
     "tracer",
     "validate_chrome_trace",

@@ -16,7 +16,8 @@ add under the registry lock.  The registry serializes to a plain-dict
 ship their per-chunk deltas home by piggybacking on pool task results
 (:mod:`repro.engine.parallel`), with no extra IPC round-trips.  A worker
 whose chunk errors contributes no snapshot, so a lost task loses only
-its own delta.
+its own delta.  Long-lived workers (serve shard processes) diff two
+snapshots with :func:`snapshot_delta` to ship one request's share.
 """
 
 from __future__ import annotations
@@ -282,3 +283,37 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+
+
+def snapshot_delta(before: dict, after: dict) -> dict:
+    """What ``after`` recorded since ``before`` (two :meth:`~MetricsRegistry.snapshot`
+    results of one registry), as a snapshot :meth:`~MetricsRegistry.merge`
+    folds in: counter and histogram increments, and gauges whose value
+    changed.  Histogram ``min``/``max`` are ``after``'s, which merges
+    exactly (the extremes of a superset of the observations).
+    """
+    old_counters, old_gauges = before["counters"], before["gauges"]
+    old_histograms = before["histograms"]
+    counters = {
+        key: value - old_counters.get(key, 0.0)
+        for key, value in after["counters"].items()
+        if value != old_counters.get(key, 0.0)
+    }
+    gauges = {
+        key: value
+        for key, value in after["gauges"].items()
+        if old_gauges.get(key) != value
+    }
+    histograms = {}
+    for key, data in after["histograms"].items():
+        old = old_histograms.get(key)
+        if old is None:
+            histograms[key] = data
+        elif data["count"] != old["count"]:
+            histograms[key] = {
+                **data,
+                "counts": [a - b for a, b in zip(data["counts"], old["counts"])],
+                "count": data["count"] - old["count"],
+                "sum": data["sum"] - old["sum"],
+            }
+    return {"counters": counters, "gauges": gauges, "histograms": histograms}

@@ -10,8 +10,7 @@ optional classifier handle, and (when parallel commands ask for one) a
 scripts against a declarative :class:`repro.opt.registry.CommandRegistry`.
 Resources are created **lazily on first demand** (``b; b`` allocates
 nothing) and owned resources are closed on exit; externally provided
-ones (a serving layer's shard pool, a shared classifier service client)
-are used but never closed.
+ones (a caller's shared engine pool) are used but never closed.
 
 One session may run many scripts — and, as the serving layer does, many
 circuits concurrently: per-run state lives in a thread-private
@@ -122,10 +121,10 @@ class SessionStats:
 class FlowContext:
     """Per-run view of a session (the ``ctx`` of ``CommandSpec.execute``).
 
-    Thread-private: it carries the run's active classifier (a serving
-    layer runs one session per shard but a *different* fused classifier
-    client per circuit) and the current command string for diagnostics,
-    while delegating every shared resource to the owning session.
+    Thread-private: it carries the run's active classifier (``run``'s
+    per-call override, else the session's) and the current command
+    string for diagnostics, while delegating every shared resource to
+    the owning session.
     """
 
     def __init__(self, session: "OptSession", classifier, deadline=None) -> None:
@@ -367,9 +366,7 @@ class OptSession:
         step resolves through the registry — unknown commands and
         unsupported flags raise :class:`repro.errors.ReproError`, naming
         the raw spelling — then executes with this session's resources.
-        ``classifier`` overrides the session default for this run only
-        (the serving layer runs per-circuit fused clients through one
-        shard session this way).
+        ``classifier`` overrides the session default for this run only.
 
         ``deadline`` (a :class:`repro.resilience.Deadline`) bounds the
         whole run: it is checked between steps and threaded into every

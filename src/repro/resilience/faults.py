@@ -16,7 +16,6 @@ site                      consulted
                           (context: ``chunk`` = absolute chunk index)
 ``chunk.result``          in the parent, before each chunk-result wait
                           (context: ``chunk``, ``pids`` of the pool)
-``classifier.fire``       before a fused classifier round dispatches
 ``shard.circuit``         inside a serve shard process, before running one
                           circuit (context: ``pid``, ``shard``, ``circuit``)
 ========================  ====================================================

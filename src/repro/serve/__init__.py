@@ -5,24 +5,24 @@ network; this subsystem serves a whole *suite* of circuits in flight:
 
 * :mod:`repro.serve.shard` — deterministic LPT partition of the suite
   across shards (:func:`assign_shards` / :class:`ShardPlan`).
-* :mod:`repro.serve.pool` — shard-shared resources: one classifier
-  service per shard fusing ELF inference batches *across* circuits
-  (:class:`SharedClassifierService`, exact per-circuit semantics) and
-  one engine worker pool reused by every parallel flow step.
-* :mod:`repro.serve.stream` — the orchestrator: :func:`serve_stream`
-  yields per-circuit results in completion order instead of blocking on
-  the slowest shard; :func:`serve_suite` drains it into a
-  :class:`ServeReport` with throughput and batch-occupancy statistics.
+* :mod:`repro.serve.proc` — the one execution tier: :func:`run_circuit`
+  serves one circuit on a warm shard session; :class:`ShardSupervisor`
+  runs one forked :class:`ShardHost` process per shard, merges each
+  reply's metrics delta into this process's registry, respawns dead
+  shards and degrades hopeless ones to in-process execution.
+* :mod:`repro.serve.stream` — the library orchestrator:
+  :func:`serve_stream` yields per-circuit results in completion order
+  instead of blocking on the slowest shard; :func:`serve_suite` drains
+  it into a :class:`ServeReport` with throughput statistics.
 * :mod:`repro.serve.store` — the content-addressed result cache
   (:class:`ResultStore`): finished results keyed by ``(structural
-  digest, normalized script, registry version)``, fronting both serve
-  paths so repeat structures cost a hash instead of a flow.
-* :mod:`repro.serve.proc` — process-sharded execution
-  (:func:`serve_suite_procs`): one warm session per shard *process*,
-  with dead-shard respawn and in-process degradation.
+  digest, normalized script, registry version)``, fronting both the
+  library and the service so repeat structures cost a hash instead of
+  a flow.
 * :mod:`repro.serve.service` — the long-lived entrypoint
   (``python -m repro serve``): an asyncio JSON-lines service over a
-  unix socket with admission control in front of the shard processes.
+  unix socket with admission control in front of the same shard
+  processes.
 
 Quick use::
 
@@ -37,38 +37,22 @@ At ``workers=1`` every served result is byte-identical (BENCH text) to a
 blocking ``run_flow`` on that circuit alone; see ``docs/serving.md``.
 """
 
-from .pool import (
-    FusedClassifierClient,
-    FusionStats,
-    SharedClassifierService,
-    max_explicit_workers,
-    needs_classifier,
-    needs_engine_pool,
-    script_requirements,
-)
-from .proc import ShardHost, ShardSupervisor, serve_suite_procs
+from .proc import ServeParams, ServeResult, ShardHost, ShardSupervisor, run_circuit
 from .shard import ShardPlan, assign_shards
 from .store import CachedResult, ResultStore
-from .stream import ServeParams, ServeReport, ServeResult, serve_stream, serve_suite
+from .stream import ServeReport, serve_stream, serve_suite
 
 __all__ = [
     "CachedResult",
-    "FusedClassifierClient",
-    "FusionStats",
     "ResultStore",
     "ServeParams",
     "ServeReport",
     "ServeResult",
-    "SharedClassifierService",
     "ShardHost",
     "ShardPlan",
     "ShardSupervisor",
     "assign_shards",
-    "max_explicit_workers",
-    "needs_classifier",
-    "needs_engine_pool",
-    "script_requirements",
+    "run_circuit",
     "serve_stream",
     "serve_suite",
-    "serve_suite_procs",
 ]

@@ -1,35 +1,38 @@
 """Process-sharded serving: one warm worker process per shard.
 
-:func:`repro.serve.serve_stream` runs every circuit in a thread of the
-calling process — right for a library call, wrong for a long-lived
-service, where one interpreter would serialize every Python-level sweep
-on the GIL and one crashed circuit could take the whole server down.
-This module moves each shard into its **own process**:
+Every circuit :mod:`repro.serve` optimizes, for the library call and the
+service alike, goes through the same three pieces:
 
+* :func:`run_circuit` is the one per-circuit runner: parse the BENCH
+  text, run the flow on the shard's warm :class:`repro.opt.OptSession`
+  (or :func:`repro.tune.tune` under a quality budget), turn deadline
+  expiry into a valid prefix and any other failure into
+  ``ServeResult.error`` — inside one ``serve.circuit`` span, with the
+  ``serve_circuit_seconds`` / ``serve_circuits_total`` metrics.
 * :class:`ShardHost` owns one forked shard worker: a private inbox
   queue, the worker process, and the ``inflight`` ledger of submitted
-  but unfinished circuits — exactly what a respawn must re-run.
-* :func:`_shard_worker_main` is the child body: it builds one warm
-  :class:`repro.opt.OptSession` (per-run caches, optional pre-forked
-  engine pool) and serves circuits off its inbox until told to stop.
-  Circuits cross the boundary as BENCH text — the serving wire format —
-  never as pickled AIG objects.
-* :func:`serve_suite_procs` is the orchestrator: it shards the suite
-  (same deterministic LPT plan as the thread path), checks each circuit
-  against an optional content-addressed :class:`~repro.serve.store.ResultStore`,
-  dispatches the misses, and supervises the shard processes.
+  but unfinished circuits — exactly what a respawn must re-run.  The
+  child body (:func:`_shard_worker_main`) builds one warm session and
+  serves circuits off its inbox until told to stop.  Circuits cross the
+  boundary as BENCH text — the serving wire format — never as pickled
+  AIG objects; each reply carries the :class:`ServeResult` (flow report
+  included) and the metrics registry delta that request produced.
+* :class:`ShardSupervisor` forks the hosts around one shared outbox,
+  collects replies (:meth:`ShardSupervisor.collect`, which folds each
+  delta into this process's registry, so every ``flow_*`` / ``engine_*``
+  / ``session_*`` / ``tune_*`` series a child records shows up here),
+  and recovers dead shards.
 
-Failure model (the thread path has nothing to recover; this path does):
-a shard process that dies — SIGKILL, OOM, a segfaulting extension —
-is detected by the supervisor (``inflight`` non-empty, process dead),
-counted (``serve_shard_deaths_total``), and respawned with **only its
-unfinished circuits** resubmitted; completed results were already
-streamed and are never recomputed.  Respawns follow the engine's
-:class:`repro.resilience.RetryPolicy` budget; a shard that keeps dying
-degrades to in-process sequential execution in the supervisor
-(``record_degradation``), which also breaks deterministic kill loops
-injected at the ``shard.circuit`` fault site — the site fires in shard
-children only, never in the supervisor.  At ``workers=1`` every
+Failure model: a shard process that dies — SIGKILL, OOM, a segfaulting
+extension — is detected by the supervisor (``inflight`` non-empty,
+process dead), counted (``serve_shard_deaths_total``), and respawned
+with **only its unfinished circuits** resubmitted; completed results
+were already delivered and are never recomputed.  Respawns follow the
+engine's :class:`repro.resilience.RetryPolicy` budget; a shard that
+keeps dying degrades to in-process sequential execution in the
+supervisor (``record_degradation``), which also breaks deterministic
+kill loops injected at the ``shard.circuit`` fault site — the site fires
+in shard children only, never in the supervisor.  At ``workers=1`` every
 recovery path re-derives byte-identical results, so a suite served
 through kills matches a clean run exactly.
 """
@@ -40,22 +43,179 @@ import multiprocessing
 import os
 import queue
 import time
-from typing import Iterable
+from dataclasses import dataclass
 
 from .. import obs
 from ..aig.io_bench import from_text, to_text
 from ..errors import DeadlineExceeded
+from ..opt.flow import FlowReport
+from ..opt.registry import default_registry
 from ..opt.session import OptSession
 from ..resilience import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy, policy
 from ..resilience.faults import active as faults_active
 from ..resilience.faults import fire, install
 from ..tune import RecipeBook, TuneParams, tune
-from .pool import script_requirements
-from .shard import ShardPlan, assign_shards
-from .store import CachedResult, ResultStore
-from .stream import ServeParams, ServeReport, ServeResult
 
-_POLL_S = 0.2  # supervisor wakeup to scan for dead shard processes
+_POLL_S = 0.2  # outbox wait before the supervisor scans for dead shards
+
+
+@dataclass
+class ServeParams:
+    """Serving-run configuration.
+
+    ``flow`` is any :func:`repro.opt.flow.run_flow` script.  ``workers``
+    is applied to parallel commands without an explicit ``-w`` (and
+    sizes the per-shard engine pool); ``workers=1`` is the deterministic
+    mode whose outputs are bit-identical to sequential runs.
+
+    ``circuit_timeout_s`` is the per-circuit latency budget: a
+    :class:`repro.resilience.Deadline` threaded through the session into
+    every engine pass and pooled chunk wait, so one pathological circuit
+    (or a hung worker) cannot stall its shard.  A circuit that blows the
+    budget still yields a *valid* result — engine commits are serial, so
+    the best committed prefix is CEC-equivalent to the input — marked
+    ``deadline_exceeded`` and counted ``serve_deadline_exceeded_total``.
+    ``None`` (the default) serves without a budget.
+
+    ``engine_cache_entries`` bounds every per-run resynthesis cache a
+    serving session creates (LRU entries per layer, see
+    :class:`repro.engine.ResynthCache`); ``None`` is unbounded — fine
+    for one suite, set it on long-lived services.
+
+    ``quality_budget_s`` switches the run into **tuned** mode: instead
+    of executing ``flow``, each circuit gets a per-circuit script search
+    (:func:`repro.tune.tune`) under that wall-clock budget — capped at
+    ``circuit_timeout_s`` when both are set — and yields the best
+    committed result when it expires, never an error, never a torn
+    network (see ``docs/tuning.md``).  Tuned results carry the chosen
+    script on ``ServeResult.tuned_script`` and are **never** entered
+    into a content-addressed store: their content depends on the wall
+    clock, so caching one would freeze a timing accident.
+    """
+
+    flow: str = "rf"
+    n_shards: int = 2
+    workers: int = 1
+    circuit_timeout_s: float | None = None
+    engine_cache_entries: int | None = None
+    quality_budget_s: float | None = None
+
+
+@dataclass
+class ServeResult:
+    """Outcome of serving one circuit."""
+
+    name: str
+    shard: int
+    order: int = -1  # completion index over the whole run, set on yield
+    runtime: float = 0.0
+    n_ands_before: int = 0
+    level_before: int = 0
+    n_ands: int = 0
+    level: int = 0
+    report: FlowReport | None = None
+    bench_text: str | None = None
+    error: str | None = None
+    # True when the circuit's budget expired: the result then holds the
+    # best committed prefix (valid and CEC-clean), not the full flow.
+    deadline_exceeded: bool = False
+    # True when the result came out of a content-addressed ResultStore
+    # (shard is -1 then: no shard ever saw the request).
+    cached: bool = False
+    # The script the tuner chose (quality-budget mode only, else None).
+    tuned_script: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def run_circuit(
+    session: OptSession,
+    params: ServeParams,
+    name: str,
+    bench_text: str,
+    shard: int,
+    script: str | None = None,
+    quality_budget_s: float | None = None,
+    recipes: RecipeBook | None = None,
+) -> ServeResult:
+    """Serve one circuit through ``session``; always return a result.
+
+    ``script`` of ``None`` means ``params.flow``.  A quality budget
+    (``quality_budget_s``, falling back to ``params.quality_budget_s``)
+    replaces the script with a tuner search sharing ``recipes``, bounded
+    by ``params.circuit_timeout_s`` too; its expiry yields the best
+    committed result, never an error.  A fixed script runs under a
+    :class:`~repro.resilience.Deadline` of ``params.circuit_timeout_s``
+    whose expiry yields the best committed prefix, flagged
+    ``deadline_exceeded``.  Any other failure — parse errors included —
+    lands on ``ServeResult.error``; nothing escapes.
+    """
+    if quality_budget_s is None:
+        quality_budget_s = params.quality_budget_s
+    timeout_s = params.circuit_timeout_s
+    deadline = Deadline.after(timeout_s) if timeout_s is not None else None
+    result = ServeResult(name=name, shard=shard)
+    out = None
+    # The span doubles as the latency clock: ``result.runtime`` is its
+    # duration, and the registry histogram below is what the throughput
+    # benchmark and a Prometheus scrape read.
+    span = obs.span("serve.circuit", circuit=name, shard=shard)
+    with span:
+        try:
+            g = from_text(bench_text, name=name)
+            result.n_ands_before = g.n_ands
+            result.level_before = g.max_level()
+            if quality_budget_s is not None:
+                if timeout_s is not None:
+                    quality_budget_s = min(quality_budget_s, timeout_s)
+                tuned = tune(
+                    g,
+                    TuneParams(budget_s=quality_budget_s, recipes=recipes),
+                    session=session,
+                )
+                out = tuned.graph
+                result.tuned_script = tuned.script
+            else:
+                out, result.report = session.run(
+                    g, script or params.flow, deadline=deadline
+                )
+        except DeadlineExceeded as error:
+            # The session attached the best committed prefix — a valid,
+            # CEC-clean network — so the circuit still yields a result.
+            policy.record_deadline("serve")
+            result.deadline_exceeded = True
+            result.report = error.report
+            out = error.partial
+        except Exception as error:
+            obs.counter("serve_circuit_errors_total", type=type(error).__name__).add(1)
+            result.error = f"{type(error).__name__}: {error}"
+        if out is not None:
+            result.n_ands = out.n_ands
+            result.level = out.max_level()
+            result.bench_text = to_text(out)
+            span.set(n_ands=out.n_ands)
+    result.runtime = span.duration
+    metrics = obs.metrics()
+    metrics.histogram("serve_circuit_seconds", shard=str(shard)).observe(result.runtime)
+    metrics.counter("serve_circuits_total", outcome="ok" if result.ok else "error").add(1)
+    return result
+
+
+def _shard_session(params: ServeParams, classifier) -> OptSession:
+    """A serving session: per-run caches, bounded by the params.
+
+    Caches are per run (= per circuit): the wave engine's NPN cache
+    layer is content-affecting, so sharing one across circuits would
+    make a served result depend on what the shard served before it.
+    """
+    return OptSession(
+        classifier=classifier,
+        engine_workers=params.workers if params.workers > 0 else None,
+        per_run_cache=True,
+        cache_entries=params.engine_cache_entries,
+    )
 
 
 def _shard_worker_main(
@@ -69,23 +229,24 @@ def _shard_worker_main(
     """Child process body: serve circuits off ``inbox`` until ``None``.
 
     Work items are ``(req_id, name, bench_text, script, quality_budget_s)``
-    — ``script`` of ``None`` means the configured default flow, and a
-    non-``None`` ``quality_budget_s`` routes the circuit through the
-    tuner instead (the shard keeps one in-memory recipe book, so tuned
-    circuits warm-start from their shard siblings' winning scripts).
-    Each reply is ``(req_id, payload_dict)`` on ``outbox``.  Errors
-    never escape a circuit: they come back as the payload's ``error``
-    field, so the process survives anything short of a crash — and a
-    crash is exactly what the supervisor's respawn path is for.
+    — see :func:`run_circuit`; the shard keeps one in-memory recipe book,
+    so tuned circuits warm-start from their shard siblings' winning
+    scripts.  Each reply is ``(req_id, result, delta)`` on ``outbox``,
+    where ``delta`` is what this request added to the child's metrics
+    registry (:func:`repro.obs.snapshot_delta`); the delta is taken here
+    and not in the runner, so the supervisor's in-process degrade path,
+    which records straight into the parent registry, counts once.  The
+    runner contains every error, so the process survives anything short
+    of a crash — and a crash is exactly what the supervisor's respawn
+    path is for.
     """
     install(fault_plan)  # forked children inherit, spawned ones would not
-    needs = script_requirements(params.flow)
-    session = OptSession(
-        classifier=classifier,
-        engine_workers=params.workers if params.workers > 0 else None,
-        per_run_cache=True,
-        cache_entries=params.engine_cache_entries,
-    )
+    registry = obs.metrics()
+    baseline = registry.snapshot()
+    needs = default_registry().script_requirements(params.flow)
+    session = _shard_session(params, classifier)
+    # The pool must cover the script's own -w pins as well as the
+    # serve-level default, so no engine pass forks a pool mid-circuit.
     pool_workers = params.workers if params.workers > 0 else (os.cpu_count() or 1)
     pool_workers = max(pool_workers, needs.max_explicit_workers)
     if needs.engine_pool and pool_workers > 1:
@@ -98,74 +259,19 @@ def _shard_worker_main(
                 return
             req_id, name, bench_text, script, quality_budget_s = item
             fire("shard.circuit", pid=os.getpid(), shard=shard_index, circuit=name)
-            payload = _run_one(
+            result = run_circuit(
                 session,
                 params,
                 name,
                 bench_text,
+                shard_index,
                 script,
-                quality_budget_s=quality_budget_s,
-                recipes=recipes,
+                quality_budget_s,
+                recipes,
             )
-            outbox.put((req_id, payload))
-
-
-def _run_one(
-    session: OptSession,
-    params: ServeParams,
-    name: str,
-    bench_text: str,
-    script: str | None = None,
-    quality_budget_s: float | None = None,
-    recipes: RecipeBook | None = None,
-) -> dict:
-    """Run one circuit through ``session``; always return a payload dict.
-
-    A quality budget (per-request ``quality_budget_s``, falling back to
-    ``params.quality_budget_s``) replaces the fixed script with a tuner
-    search: the payload then carries the chosen flow as
-    ``tuned_script``, and budget expiry produces the best committed
-    result instead of a ``deadline_exceeded`` marker — the tuner's
-    whole contract is best-so-far, not all-or-nothing.
-    """
-    started = time.perf_counter()
-    payload: dict = {"name": name, "error": None, "deadline_exceeded": False}
-    if quality_budget_s is None:
-        quality_budget_s = params.quality_budget_s
-    try:
-        g = from_text(bench_text, name=name)
-        payload["n_ands_before"] = g.n_ands
-        payload["level_before"] = g.max_level()
-        if quality_budget_s is not None:
-            tuned = tune(
-                g,
-                TuneParams(budget_s=quality_budget_s, recipes=recipes),
-                session=session,
-            )
-            payload["tuned_script"] = tuned.script
-            payload["n_ands"] = tuned.n_ands
-            payload["level"] = tuned.level
-            payload["bench_text"] = to_text(tuned.graph)
-            payload["runtime"] = time.perf_counter() - started
-            return payload
-        deadline = None
-        if params.circuit_timeout_s is not None:
-            deadline = Deadline.after(params.circuit_timeout_s)
-        out, _report = session.run(g, script or params.flow, deadline=deadline)
-    except DeadlineExceeded as error:
-        policy.record_deadline("serve")
-        payload["deadline_exceeded"] = True
-        out = error.partial
-    except Exception as error:
-        obs.counter("serve_circuit_errors_total", type=type(error).__name__).add(1)
-        payload["error"] = f"{type(error).__name__}: {error}"
-        out = None
-    if out is not None:
-        payload["n_ands"] = out.n_ands
-        payload["level"] = out.max_level()
-        payload["bench_text"] = to_text(out)
-    payload["runtime"] = time.perf_counter() - started
-    return payload
+            now = registry.snapshot()
+            outbox.put((req_id, result, obs.snapshot_delta(baseline, now)))
+            baseline = now
 
 
 class ShardHost:
@@ -264,28 +370,59 @@ class ShardHost:
 
 
 class ShardSupervisor:
-    """Death detection + recovery shared by the suite path and the service.
+    """``n_shards`` forked shard processes behind one outbox, supervised.
 
-    Watches a set of :class:`ShardHost` instances; :meth:`check` scans
-    for dead hosts and either respawns them (within the
+    The constructor forks every :class:`ShardHost` (call it while the
+    process is still single-threaded); callers submit through
+    ``hosts[i].submit`` and drain with :meth:`collect`.  :meth:`check`
+    scans for dead hosts and either respawns them (within the
     :class:`~repro.resilience.RetryPolicy` budget, with backoff) or
     degrades their unfinished circuits to in-process sequential
-    execution — emitting the results on the shared outbox exactly as the
-    worker would have, so the drain loop cannot tell recovery happened.
+    execution, posting the results on the outbox like any reply — the
+    caller cannot tell recovery happened.
     """
 
     def __init__(
         self,
-        hosts: Iterable[ShardHost],
+        n_shards: int,
         params: ServeParams,
         classifier=None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        self.hosts = list(hosts)
+        ctx = multiprocessing.get_context("fork")
         self.params = params
         self.classifier = classifier
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
+        self.outbox = ctx.Queue()
+        self.hosts = [
+            ShardHost(ctx, index, params, classifier, self.outbox)
+            for index in range(n_shards)
+        ]
         self._fallback_session: OptSession | None = None
+        try:
+            for host in self.hosts:
+                host.spawn()
+        except BaseException:
+            self.close()
+            raise
+
+    def collect(self) -> tuple[int, ServeResult] | None:
+        """The next finished ``(req_id, result)``, or ``None`` after a
+        quiet poll.
+
+        Waits up to ``_POLL_S`` on the shared outbox; a quiet poll runs
+        :meth:`check` instead.  A reply folds its metrics delta into
+        this process's registry and settles its host's ledger.
+        """
+        try:
+            req_id, result, delta = self.outbox.get(timeout=_POLL_S)
+        except queue.Empty:
+            self.check()
+            return None
+        obs.merge_worker_snapshot(delta)
+        for host in self.hosts:
+            host.complete(req_id)
+        return req_id, result
 
     def check(self) -> None:
         """Scan every host; recover the dead ones (see class docstring)."""
@@ -308,29 +445,26 @@ class ShardSupervisor:
         Sequential, no fault sites consulted (``shard.circuit`` fires in
         shard children only) — so a scripted kill that murders every
         respawn still terminates here, with byte-identical results at
-        ``workers=1``.
+        ``workers=1``.  The runner records straight into this process's
+        registry, so these replies carry no delta.
         """
         policy.record_degradation("in-process")
         if self._fallback_session is None:
-            self._fallback_session = OptSession(
-                classifier=self.classifier,
-                engine_workers=self.params.workers if self.params.workers > 0 else None,
-                per_run_cache=True,
-                cache_entries=self.params.engine_cache_entries,
-            )
+            self._fallback_session = _shard_session(self.params, self.classifier)
         for req_id, (name, bench_text, script, budget) in list(host.inflight.items()):
-            payload = _run_one(
+            result = run_circuit(
                 self._fallback_session,
                 self.params,
                 name,
                 bench_text,
+                host.shard,
                 script,
-                quality_budget_s=budget,
+                budget,
             )
-            host.outbox.put((req_id, payload))
-            # Settle the ledger here (the drain loop's complete() is a
-            # no-op then): a host with an empty ledger is not "dead", so
-            # the next check() pass cannot degrade it twice.
+            host.outbox.put((req_id, result, None))
+            # Settle the ledger here (collect's complete() is a no-op
+            # then): a host with an empty ledger is not "dead", so the
+            # next check() cannot degrade it twice.
             host.complete(req_id)
 
     def close(self) -> None:
@@ -339,144 +473,3 @@ class ShardSupervisor:
         if self._fallback_session is not None:
             self._fallback_session.close()
             self._fallback_session = None
-
-
-def serve_suite_procs(
-    suite: dict,
-    params: ServeParams | None = None,
-    classifier=None,
-    store: ResultStore | None = None,
-    cost: dict[str, int] | None = None,
-) -> ServeReport:
-    """Serve ``suite`` across shard *processes*; return a :class:`ServeReport`.
-
-    The process analogue of :func:`repro.serve.serve_suite`: the same
-    deterministic shard plan, the same per-circuit result records, but
-    each shard executes in its own forked worker and survives that
-    worker's death (see the module docstring for the recovery model).
-
-    With a ``store``, every circuit is first checked against the
-    content-addressed cache: hits are answered immediately (``cached``
-    set, ``shard`` = -1, bench text byte-identical to the original
-    miss), and every clean miss result is inserted on completion.
-    Deadline-expired and errored circuits are never cached — their
-    content is timing-dependent or absent.  Fused cross-circuit
-    classification is a thread-path feature; here each shard's session
-    calls ``classifier`` directly.
-    """
-    params = params or ServeParams()
-    if params.quality_budget_s is not None:
-        store = None  # tuned content is wall-clock-dependent: never cached
-    plan = assign_shards(suite, params.n_shards, cost)
-    ctx = multiprocessing.get_context("fork")
-    metrics = obs.metrics()
-    with obs.span(
-        "serve.suite_procs", circuits=len(suite), shards=len(plan.shards), flow=params.flow
-    ) as suite_span:
-        results: list[ServeResult] = []
-        keys: dict[str, tuple] = {}
-        misses_by_shard: list[list[str]] = []
-        for shard_index, names in enumerate(plan.shards):
-            misses: list[str] = []
-            for name in names:
-                hit = None
-                if store is not None:
-                    keys[name] = store.key(suite[name], params.flow)
-                    hit = store.lookup(keys[name])
-                if hit is not None:
-                    results.append(
-                        ServeResult(
-                            name=name,
-                            shard=-1,
-                            order=len(results),
-                            n_ands_before=suite[name].n_ands,
-                            level_before=suite[name].max_level(),
-                            n_ands=hit.n_ands,
-                            level=hit.level,
-                            bench_text=hit.bench_text,
-                            cached=True,
-                        )
-                    )
-                    metrics.counter("serve_circuits_total", outcome="ok").add(1)
-                else:
-                    misses.append(name)
-            misses_by_shard.append(misses)
-        outbox = ctx.Queue()
-        hosts = []
-        req_of: dict[int, str] = {}
-        shard_of_req: dict[int, ShardHost] = {}
-        supervisor = None
-        try:
-            req_id = 0
-            for shard_index, misses in enumerate(misses_by_shard):
-                if not misses:
-                    continue
-                host = ShardHost(ctx, shard_index, params, classifier, outbox)
-                host.spawn()
-                hosts.append(host)
-                for name in misses:
-                    req_of[req_id] = name
-                    shard_of_req[req_id] = host
-                    host.submit(req_id, name, to_text(suite[name]))
-                    req_id += 1
-            supervisor = ShardSupervisor(hosts, params, classifier)
-            remaining = req_id
-            while remaining > 0:
-                try:
-                    rid, payload = outbox.get(timeout=_POLL_S)
-                except queue.Empty:
-                    supervisor.check()
-                    continue
-                host = shard_of_req[rid]
-                host.complete(rid)
-                result = ServeResult(
-                    name=payload["name"],
-                    shard=host.shard,
-                    order=len(results),
-                    runtime=payload.get("runtime", 0.0),
-                    n_ands_before=payload.get("n_ands_before", 0),
-                    level_before=payload.get("level_before", 0),
-                    n_ands=payload.get("n_ands", 0),
-                    level=payload.get("level", 0),
-                    bench_text=payload.get("bench_text"),
-                    error=payload["error"],
-                    deadline_exceeded=payload["deadline_exceeded"],
-                    tuned_script=payload.get("tuned_script"),
-                )
-                metrics.histogram(
-                    "serve_circuit_seconds", shard=str(host.shard)
-                ).observe(result.runtime)
-                metrics.counter(
-                    "serve_circuits_total", outcome="ok" if result.ok else "error"
-                ).add(1)
-                if (
-                    store is not None
-                    and result.ok
-                    and not result.deadline_exceeded
-                    and result.bench_text is not None
-                ):
-                    store.insert(
-                        keys[result.name],
-                        CachedResult(
-                            bench_text=result.bench_text,
-                            n_ands=result.n_ands,
-                            level=result.level,
-                            n_ands_before=result.n_ands_before,
-                            level_before=result.level_before,
-                        ),
-                    )
-                results.append(result)
-                remaining -= 1
-        finally:
-            if supervisor is not None:
-                supervisor.close()
-            else:
-                for host in hosts:
-                    host.stop()
-        suite_span.set(ok=all(r.ok for r in results))
-    return ServeReport(
-        plan=plan,
-        results=results,
-        fusion={},
-        wall_time=suite_span.duration,
-    )

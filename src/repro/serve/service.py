@@ -59,8 +59,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
-import queue
 import socket
 import threading
 import time
@@ -70,12 +68,8 @@ from .. import obs
 from ..aig.io_bench import from_text
 from ..errors import ReproError
 from ..opt.registry import default_registry
-from .pool import script_requirements
-from .proc import ShardHost, ShardSupervisor, _run_one
-from .store import CachedResult, ResultStore
-from .stream import ServeParams
-
-_POLL_S = 0.2  # drain-thread wakeup to scan for dead shard processes
+from .proc import ServeParams, ServeResult, ShardHost, ShardSupervisor
+from .store import ResultStore
 
 MAX_REQUEST_LINE_BYTES = 1 << 16
 """Longest request line the service buffers (asyncio's default stream
@@ -118,9 +112,8 @@ class OptimizeService:
     """The running service: shard processes, cache, admission, protocol.
 
     Lifecycle: :meth:`start` forks the shard processes (while the
-    process is still single-threaded — the same rule the thread path
-    follows for engine pools), then starts the drain thread and the
-    unix-socket server; :meth:`serve_forever` blocks until a
+    process is still single-threaded), then starts the drain thread and
+    the unix-socket server; :meth:`serve_forever` blocks until a
     ``shutdown`` op arrives; :meth:`stop` tears everything down
     idempotently.
     """
@@ -130,9 +123,7 @@ class OptimizeService:
         self.params = config.params()
         self.registry = default_registry()
         self.store = ResultStore(config.cache_entries, registry=self.registry)
-        self.hosts: list[ShardHost] = []
         self.supervisor: ShardSupervisor | None = None
-        self._outbox = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._drain: threading.Thread | None = None
@@ -141,7 +132,6 @@ class OptimizeService:
         self._futures: dict[int, asyncio.Future] = {}
         self._next_req = 0
         self._pending = 0
-        self._fallback = None  # in-process session for shard-less configs
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -149,15 +139,7 @@ class OptimizeService:
         """Fork shards, start the drain thread and the socket server."""
         self._loop = asyncio.get_running_loop()
         self._shutdown_requested = asyncio.Event()
-        ctx = multiprocessing.get_context("fork")
-        self._outbox = ctx.Queue()
-        for shard_index in range(max(1, self.config.n_shards)):
-            host = ShardHost(
-                ctx, shard_index, self.params, None, self._outbox
-            )
-            host.spawn()
-            self.hosts.append(host)
-        self.supervisor = ShardSupervisor(self.hosts, self.params)
+        self.supervisor = ShardSupervisor(max(1, self.config.n_shards), self.params)
         self._drain = threading.Thread(
             target=self._drain_loop, name="serve-drain", daemon=True
         )
@@ -200,24 +182,20 @@ class OptimizeService:
     def _drain_loop(self) -> None:
         """Bridge shard results back into the event loop; watch for deaths."""
         while not self._stopping.is_set():
-            try:
-                req_id, payload = self._outbox.get(timeout=_POLL_S)
-            except queue.Empty:
-                self.supervisor.check()
-                continue
-            for host in self.hosts:
-                host.complete(req_id)
+            reply = self.supervisor.collect()
             loop = self._loop
-            if loop is not None and not loop.is_closed():
-                loop.call_soon_threadsafe(self._resolve, req_id, payload)
+            if reply is not None and loop is not None and not loop.is_closed():
+                loop.call_soon_threadsafe(self._resolve, *reply)
 
-    def _resolve(self, req_id: int, payload: dict) -> None:
+    def _resolve(self, req_id: int, result: ServeResult) -> None:
         future = self._futures.pop(req_id, None)
         if future is not None and not future.done():
-            future.set_result(payload)
+            future.set_result(result)
 
     def _least_loaded(self) -> ShardHost:
-        return min(self.hosts, key=lambda host: (len(host.inflight), host.shard))
+        return min(
+            self.supervisor.hosts, key=lambda host: (len(host.inflight), host.shard)
+        )
 
     # -- protocol -------------------------------------------------------------
 
@@ -300,12 +278,12 @@ class OptimizeService:
                 "ok": False,
                 "error": {"type": "bad_request", "detail": "missing bench text"},
             }
-        quality_budget_s = message.get("quality_budget_s")
-        if quality_budget_s is not None:
+        budget = message.get("quality_budget_s")
+        if budget is not None:
             if (
-                isinstance(quality_budget_s, bool)
-                or not isinstance(quality_budget_s, (int, float))
-                or quality_budget_s <= 0
+                isinstance(budget, bool)
+                or not isinstance(budget, (int, float))
+                or budget <= 0
             ):
                 return {
                     "ok": False,
@@ -314,24 +292,24 @@ class OptimizeService:
                         "detail": "quality_budget_s must be a positive number",
                     },
                 }
-            quality_budget_s = float(quality_budget_s)
-            return await self._optimize_tuned(name, bench, quality_budget_s)
-        try:
-            # normalize_script is the *strict* resolver — an unknown
-            # command or flag must become a typed rejection here, not a
-            # generic failure when the cache key is built downstream
-            # (script_requirements alone skips unresolvable commands).
-            self.registry.normalize_script(script)
-            needs = script_requirements(script, self.registry)
-        except ReproError as error:
-            return {"ok": False, "error": {"type": "bad_script", "detail": str(error)}}
-        if needs.classifier:
-            # Shard sessions run classifier-less; a script that requires
-            # one can never be served here — reject it typed, up front.
-            return {
-                "ok": False,
-                "error": {"type": "unsupported", "detail": "script needs a classifier"},
-            }
+            budget = float(budget)
+        else:
+            try:
+                # normalize_script is the *strict* resolver — an unknown
+                # command or flag must become a typed rejection here, not
+                # a generic failure when the cache key is built downstream
+                # (script_requirements alone skips unresolvable commands).
+                self.registry.normalize_script(script)
+                needs = self.registry.script_requirements(script)
+            except ReproError as error:
+                return {"ok": False, "error": {"type": "bad_script", "detail": str(error)}}
+            if needs.classifier:
+                # Shard sessions run classifier-less; a script that
+                # requires one can never be served here — reject it typed.
+                return {
+                    "ok": False,
+                    "error": {"type": "unsupported", "detail": "script needs a classifier"},
+                }
         # Admission control: bound what is in flight, reject the rest.
         if self._pending >= self.config.max_pending:
             obs.counter("serve_rejected_total").add(1)
@@ -346,102 +324,17 @@ class OptimizeService:
         self._pending += 1
         try:
             g = from_text(bench, name=name)
-            key = self.store.key(g, script)
-            hit = self.store.lookup(key)
-            if hit is not None:
-                return {
-                    "ok": True,
-                    "name": name,
-                    "cached": True,
-                    "bench": hit.bench_text,
-                    "n_ands": hit.n_ands,
-                    "level": hit.level,
-                    "n_ands_before": g.n_ands,
-                    "level_before": g.max_level(),
-                    "runtime": 0.0,
-                }
-            payload = await self._run_sharded(name, bench, script)
-            if payload.get("error") is not None:
-                return {
-                    "ok": False,
-                    "name": name,
-                    "error": {"type": "flow_error", "detail": payload["error"]},
-                }
-            response = {
-                "ok": True,
-                "name": name,
-                "cached": False,
-                "bench": payload.get("bench_text"),
-                "n_ands": payload.get("n_ands", 0),
-                "level": payload.get("level", 0),
-                "n_ands_before": payload.get("n_ands_before", g.n_ands),
-                "level_before": payload.get("level_before", 0),
-                "deadline_exceeded": payload["deadline_exceeded"],
-                "runtime": payload.get("runtime", 0.0),
-            }
-            if (
-                payload.get("bench_text") is not None
-                and not payload["deadline_exceeded"]
-            ):
-                self.store.insert(
-                    key,
-                    CachedResult(
-                        bench_text=payload["bench_text"],
-                        n_ands=payload.get("n_ands", 0),
-                        level=payload.get("level", 0),
-                        n_ands_before=payload.get("n_ands_before", g.n_ands),
-                        level_before=payload.get("level_before", 0),
-                    ),
-                )
-            return response
-        finally:
-            self._pending -= 1
-
-    async def _optimize_tuned(self, name: str, bench: str, budget_s: float) -> dict:
-        """Quality-budget request: tuner search on a shard, never cached.
-
-        The store is bypassed in both directions — a cached fixed-flow
-        result could be worse than what the budget buys, and a tuned
-        result's content depends on the wall clock.  Budget expiry comes
-        back as a normal ``ok`` response holding the best committed
-        result; only a real flow failure is a typed error.
-        """
-        if self._pending >= self.config.max_pending:
-            obs.counter("serve_rejected_total").add(1)
-            return {
-                "ok": False,
-                "error": {
-                    "type": "overloaded",
-                    "pending": self._pending,
-                    "limit": self.config.max_pending,
-                },
-            }
-        self._pending += 1
-        try:
-            g = from_text(bench, name=name)
-            payload = await self._run_sharded(
-                name, bench, None, quality_budget_s=budget_s
-            )
-            if payload.get("error") is not None:
-                return {
-                    "ok": False,
-                    "name": name,
-                    "error": {"type": "flow_error", "detail": payload["error"]},
-                }
-            return {
-                "ok": True,
-                "name": name,
-                "cached": False,
-                "bench": payload.get("bench_text"),
-                "n_ands": payload.get("n_ands", 0),
-                "level": payload.get("level", 0),
-                "n_ands_before": payload.get("n_ands_before", g.n_ands),
-                "level_before": payload.get("level_before", 0),
-                "deadline_exceeded": payload["deadline_exceeded"],
-                "tuned_script": payload.get("tuned_script", ""),
-                "quality_budget_s": budget_s,
-                "runtime": payload.get("runtime", 0.0),
-            }
+            # A quality-budget request bypasses the store both ways: a
+            # cached fixed-flow result could be worse than what the
+            # budget buys, and a tuned result's content depends on the
+            # wall clock.
+            key = self.store.key(g, script) if budget is None else None
+            result = self.store.lookup_result(key, name, g) if key is not None else None
+            if result is None:
+                result = await self._run_sharded(name, bench, script, budget)
+                if key is not None:
+                    self.store.insert_result(key, result)
+            return _response(result, budget)
         finally:
             self._pending -= 1
 
@@ -449,9 +342,9 @@ class OptimizeService:
         self,
         name: str,
         bench: str,
-        script: str | None,
-        quality_budget_s: float | None = None,
-    ) -> dict:
+        script: str,
+        quality_budget_s: float | None,
+    ) -> ServeResult:
         req_id = self._next_req
         self._next_req += 1
         future: asyncio.Future = self._loop.create_future()
@@ -470,7 +363,7 @@ class OptimizeService:
                     "alive": host.process is not None and host.process.is_alive(),
                     "respawns": host.attempts,
                 }
-                for host in self.hosts
+                for host in self.supervisor.hosts
             },
             "cache": {
                 "hits": self.store.hits,
@@ -480,6 +373,36 @@ class OptimizeService:
                 "hit_rate": self.store.hit_rate,
             },
         }
+
+
+def _response(result: ServeResult, quality_budget_s: float | None) -> dict:
+    """The optimize reply for a served (or cached) result.
+
+    Budget expiry is a normal ``ok`` reply holding the best committed
+    result; only a real flow failure is a typed error.
+    """
+    if result.error is not None:
+        return {
+            "ok": False,
+            "name": result.name,
+            "error": {"type": "flow_error", "detail": result.error},
+        }
+    response = {
+        "ok": True,
+        "name": result.name,
+        "cached": result.cached,
+        "bench": result.bench_text,
+        "n_ands": result.n_ands,
+        "level": result.level,
+        "n_ands_before": result.n_ands_before,
+        "level_before": result.level_before,
+        "deadline_exceeded": result.deadline_exceeded,
+        "runtime": result.runtime,
+    }
+    if quality_budget_s is not None:
+        response["tuned_script"] = result.tuned_script
+        response["quality_budget_s"] = quality_budget_s
+    return response
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes | None:

@@ -1,9 +1,8 @@
 """Deterministic shard assignment for multi-circuit serving.
 
 A serving run partitions a suite of circuits across a fixed number of
-shards; each shard owns one engine pool (worker processes for cut
-resynthesis) and one shared classifier service (fused ELF inference
-across the shard's circuits).  The assignment is the classic LPT
+shards; each shard is one worker process holding one warm session
+(and, for parallel flows, one engine pool).  The assignment is the classic LPT
 (longest-processing-time-first) greedy: circuits are ordered by
 descending cost estimate and each is placed on the currently lightest
 shard.  Every tie — equal costs, equal loads — is broken by name /

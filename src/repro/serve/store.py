@@ -59,6 +59,7 @@ from .. import obs
 from ..aig.digest import structural_digest
 from ..aig.graph import AIG
 from ..opt.registry import CommandRegistry, default_registry
+from .proc import ServeResult
 
 Key = tuple[str, str, str]  # (structural digest, normalized script, registry version)
 
@@ -216,6 +217,40 @@ class ResultStore:
     def get(self, g: AIG, script: str) -> CachedResult | None:
         """Convenience: :meth:`key` + :meth:`lookup` in one call."""
         return self.lookup(self.key(g, script))
+
+    # -- serve results --------------------------------------------------------
+
+    def lookup_result(self, key: Key, name: str, g: AIG) -> ServeResult | None:
+        """A hit as the served result for circuit ``name`` (input ``g``),
+        ``cached`` and on shard -1; ``None`` on a miss."""
+        hit = self.lookup(key)
+        if hit is None:
+            return None
+        return ServeResult(
+            name=name,
+            shard=-1,
+            n_ands_before=g.n_ands,
+            level_before=g.max_level(),
+            n_ands=hit.n_ands,
+            level=hit.level,
+            bench_text=hit.bench_text,
+            cached=True,
+        )
+
+    def insert_result(self, key: Key, result: ServeResult) -> None:
+        """Insert a served result — only a clean one: errored and
+        deadline-expired results are absent or timing-dependent."""
+        if result.ok and not result.deadline_exceeded and result.bench_text is not None:
+            self.insert(
+                key,
+                CachedResult(
+                    bench_text=result.bench_text,
+                    n_ands=result.n_ands,
+                    level=result.level,
+                    n_ands_before=result.n_ands_before,
+                    level_before=result.level_before,
+                ),
+            )
 
     # -- introspection --------------------------------------------------------
 

@@ -32,7 +32,6 @@ from repro.opt import (
     default_registry,
     run_flow,
 )
-from repro.serve import max_explicit_workers, needs_classifier, needs_engine_pool
 
 from .util import random_aig
 
@@ -318,10 +317,11 @@ class TestCustomCommandRegistration:
                 supports_workers=True,
             )
         )
-        assert needs_classifier("b; xelf", registry=registry)
-        assert needs_engine_pool("xelf -w 3", registry=registry)
-        assert max_explicit_workers("xelf -w 3", registry=registry) == 3
-        assert not needs_classifier("b; xelf")  # default registry untouched
+        assert registry.script_requirements("b; xelf").classifier
+        assert registry.script_requirements("xelf -w 3").engine_pool
+        assert registry.script_requirements("xelf -w 3").max_explicit_workers == 3
+        # default registry untouched
+        assert not default_registry().script_requirements("b; xelf").classifier
 
     def test_classifier_requirement_enforced_declaratively(self):
         g = random_aig(4, 10, 2, seed=0)

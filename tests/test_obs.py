@@ -18,7 +18,12 @@ from repro import obs
 from repro.circuits import layered_random_aig
 from repro.engine import ResynthExecutor, resynthesize_batch
 from repro.obs.core import DisabledSpan, Span, Tracer
-from repro.obs.metrics import MetricsRegistry, parse_series_key, _series_key
+from repro.obs.metrics import (
+    MetricsRegistry,
+    _series_key,
+    parse_series_key,
+    snapshot_delta,
+)
 from repro.opt import RefactorParams, run_flow
 
 
@@ -119,6 +124,30 @@ class TestMetricsRegistry:
         assert h.sum == pytest.approx(6.0)
         assert h.min == pytest.approx(1.0)
         assert h.max == pytest.approx(3.0)
+
+    def test_snapshot_delta_carries_only_the_increments(self):
+        child = MetricsRegistry()
+        child.counter("c_total").add(5)
+        child.counter("idle_total").add(1)
+        child.gauge("g").set(2)
+        child.histogram("h").observe(1.0)
+        before = child.snapshot()
+        child.counter("c_total").add(3)
+        child.counter("new_total").add(1)
+        child.gauge("g").set(7)
+        child.histogram("h").observe(2.0)
+        delta = snapshot_delta(before, child.snapshot())
+        assert set(delta["counters"]) == {"c_total", "new_total"}
+        parent = MetricsRegistry()
+        parent.counter("c_total").add(10)
+        parent.merge(delta)
+        assert parent.value("c_total") == 13
+        assert parent.value("new_total") == 1
+        assert parent.value("idle_total") == 0
+        assert parent.value("g") == 7
+        h = parent.histogram("h")
+        assert h.count == 1 and h.sum == pytest.approx(2.0)
+        assert sum(h.counts) == 1
 
     def test_thread_safety_of_counter_adds(self):
         reg = MetricsRegistry()
@@ -413,22 +442,6 @@ class TestRegistryBackedStats:
         reg = obs.metrics()
         assert reg.value("session_runs_total", session=stats.label) == 2
         assert reg.value("session_commands_total", session=stats.label) == 3
-
-    def test_fusion_stats_read_through(self):
-        from repro.serve.pool import FusionStats
-
-        stats = FusionStats()
-        stats.record_round(3, 120)
-        stats.record_round(2, 40)
-        assert stats.rounds == [(3, 120), (2, 40)]
-        assert stats.n_calls == 2
-        assert stats.n_subbatches == 5
-        assert stats.n_rows == 160
-        assert stats.mean_occupancy == pytest.approx(2.5)
-        assert stats.amortization == pytest.approx(1 - 2 / 5)
-        reg = obs.metrics()
-        assert reg.value("serve_fusion_rounds_total", shard=stats.label) == 2
-        assert reg.value("serve_fusion_rows_total", shard=stats.label) == 160
 
     def test_flow_commands_hit_registry(self):
         g = layered_random_aig(10, 150, seed=2)

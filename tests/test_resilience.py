@@ -16,13 +16,12 @@ The container runs on one core, so pooled tests monkeypatch
 
 import os
 import random
-import threading
 
-import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel
 from repro import obs
+from repro.aig.io_bench import from_text
 from repro.circuits.random_aig import layered_random_aig
 from repro.engine import EngineParams, engine_refactor
 from repro.engine.parallel import ResynthExecutor, resynthesize_batch
@@ -43,7 +42,6 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience import faults
-from repro.serve.pool import SharedClassifierService
 from repro.serve.stream import ServeParams, serve_suite
 from repro.verify.cec import equivalent
 
@@ -448,85 +446,7 @@ class TestDeadlinePropagation:
 
 
 # --------------------------------------------------------------------------
-# Shared classifier service: failed rounds are survivable
-# --------------------------------------------------------------------------
-
-
-class _FlakyClassifier:
-    """fused_keep_masks raises on scripted call numbers, succeeds after."""
-
-    threshold = 0.5
-
-    def __init__(self, fail_calls=(1,)):
-        self.fail_calls = set(fail_calls)
-        self.calls = 0
-
-    def fused_keep_masks(self, batches):
-        self.calls += 1
-        if self.calls in self.fail_calls:
-            raise RuntimeError("model backend unavailable")
-        return [np.ones(b.shape[0], dtype=bool) for b in batches]
-
-
-class TestClassifierRoundFailure:
-    def test_failed_round_delivers_error_and_recovers(self):
-        service = SharedClassifierService(_FlakyClassifier(), ["c0"])
-        client = service.client("c0")
-        features = np.zeros((3, 6))
-        with pytest.raises(RuntimeError):
-            client.keep_mask(features)  # round 1: backend down
-        # Round 2 fuses normally: pending state was reset, not poisoned.
-        mask = client.keep_mask(features)
-        assert mask.tolist() == [True, True, True]
-        client.finish()
-        assert service.stats.n_calls == 1  # only the good round recorded
-        assert (
-            obs.metrics().value("serve_classifier_round_failures_total") == 1
-        )
-
-    def test_failed_round_releases_every_waiter(self):
-        """Both circuits of a fused round get the error; neither hangs."""
-        service = SharedClassifierService(_FlakyClassifier(), ["c0", "c1"])
-        outcomes = {}
-
-        def circuit(name):
-            client = service.client(name)
-            features = np.zeros((2, 6))
-            try:
-                client.keep_mask(features)
-                outcomes[name] = "ok"
-            except RuntimeError:
-                outcomes[name] = "error"
-            finally:
-                client.finish()
-
-        threads = [
-            threading.Thread(target=circuit, args=(n,)) for n in ("c0", "c1")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert not any(t.is_alive() for t in threads)  # barrier released
-        assert outcomes == {"c0": "error", "c1": "error"}
-
-    def test_injected_classifier_fault_site(self):
-        service = SharedClassifierService(_FlakyClassifier(fail_calls=()), ["c0"])
-        client = service.client("c0")
-        features = np.zeros((2, 6))
-        with faults.injected("classifier.fire=raise@1"):
-            with pytest.raises(InjectedFault):
-                client.keep_mask(features)
-            mask = client.keep_mask(features)  # round 2 unaffected
-        assert mask.shape == (2,)
-        client.finish()
-        assert (
-            obs.metrics().value("serve_classifier_round_failures_total") == 1
-        )
-
-
-# --------------------------------------------------------------------------
-# Fused serving still completes under engine faults (isolation)
+# Serving still completes under engine faults (isolation)
 # --------------------------------------------------------------------------
 
 
@@ -544,5 +464,5 @@ class TestServeUnderFaults:
             )
         assert faulted.ok
         for result in faulted.results:
-            assert equivalent(suite[result.name], result.graph)
+            assert equivalent(suite[result.name], from_text(result.bench_text))
         assert clean.ok

@@ -1,27 +1,16 @@
 """Tests for the sharded multi-circuit serving layer (`repro.serve`)."""
 
-import threading
-
-import numpy as np
 import pytest
 
-from repro.aig.io_bench import to_text
+from repro.aig.io_bench import from_text, to_text
 from repro.elf import ElfClassifier
 from repro.engine import EngineParams, ResynthExecutor, engine_refactor
 from repro.errors import ReproError
 from repro.harness import serve_throughput
 from repro.ml import MLP
 from repro.opt import RefactorParams, run_flow
-from repro.serve import (
-    ServeParams,
-    SharedClassifierService,
-    assign_shards,
-    max_explicit_workers,
-    needs_classifier,
-    needs_engine_pool,
-    serve_stream,
-    serve_suite,
-)
+from repro.opt.registry import default_registry
+from repro.serve import ServeParams, assign_shards, serve_stream, serve_suite
 from repro.verify import equivalent
 
 from .util import random_aig
@@ -82,88 +71,18 @@ class TestShardPlan:
 
 
 class TestFusedClassification:
-    def test_fused_equals_per_batch_bitwise(self):
-        clf = nontrivial_classifier()
-        rng = np.random.default_rng(0)
-        # Mix of MVN-sized, small (fallback-normalized) and empty batches.
-        batches = [rng.uniform(0, 12, size=(n, 6)) for n in (50, 3, 0, 17, 16)]
-        masks = clf.fused_keep_masks(batches)
-        probs = clf.fused_predict_proba(batches)
-        assert len(masks) == len(batches)
-        for batch, mask, prob in zip(batches, masks, probs):
-            # Masks must agree exactly; probabilities to machine epsilon
-            # (BLAS picks shape-dependent kernels, so the stacked matmul
-            # can differ from the per-batch one in the last ulp).
-            assert np.array_equal(clf.keep_mask(batch), mask)
-            assert np.allclose(clf.predict_proba(batch), prob, rtol=0, atol=1e-12)
-
-    def test_fused_all_empty(self):
-        clf = nontrivial_classifier()
-        masks = clf.fused_keep_masks([np.zeros((0, 6)), np.zeros((0, 6))])
-        assert all(m.shape == (0,) for m in masks)
-
-    def test_service_rounds_are_lockstep(self):
-        clf = nontrivial_classifier()
-        service = SharedClassifierService(clf, ["a", "b", "c"])
-        rng = np.random.default_rng(1)
-        requests = {"a": 3, "b": 1, "c": 2}  # requests per client
-        received = {}
-
-        def client_body(name):
-            with service.client(name) as client:
-                out = []
-                for r in range(requests[name]):
-                    out.append(client.keep_mask(rng.uniform(0, 5, size=(4 + r, 6))))
-                received[name] = out
-
-        threads = [
-            threading.Thread(target=client_body, args=(n,)) for n in requests
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        # Round r serves the r-th request of every client still running:
-        # round 1 = {a,b,c}, round 2 = {a,c}, round 3 = {a}.
-        assert [r[0] for r in service.stats.rounds] == [3, 2, 1]
-        assert service.stats.n_subbatches == 6
-        assert service.stats.mean_occupancy == pytest.approx(2.0)
-        assert service.stats.amortization == pytest.approx(0.5)
-        assert all(len(received[n]) == requests[n] for n in requests)
-
-    def test_service_propagates_classifier_errors(self):
-        class Exploding:
-            def fused_keep_masks(self, batches):
-                raise ValueError("boom")
-
-        service = SharedClassifierService(Exploding(), ["a", "b"])
-        errors = []
-
-        def client_body(name):
-            try:
-                with service.client(name) as client:
-                    client.keep_mask(np.zeros((2, 6)))
-            except ValueError as error:
-                errors.append((name, str(error)))
-
-        threads = [threading.Thread(target=client_body, args=(n,)) for n in "ab"]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(n for n, _ in errors) == ["a", "b"]
+    """What a served script needs, read off the command registry."""
 
     def test_script_predicates(self):
-        assert needs_classifier("b; elf; b")
-        assert needs_classifier("pelfz -w 2")
-        assert not needs_classifier("b; rw; rf")
-        assert needs_engine_pool("pf; b")
-        assert not needs_engine_pool("b; elf")
-        assert max_explicit_workers("b; pf -w 4; pelf -w 2") == 4
-        assert max_explicit_workers("pf; pelf") == 0
-        assert max_explicit_workers("b; rw") == 0
+        needs = default_registry().script_requirements
+        assert needs("b; elf; b").classifier
+        assert needs("pelfz -w 2").classifier
+        assert not needs("b; rw; rf").classifier
+        assert needs("pf; b").engine_pool
+        assert not needs("b; elf").engine_pool
+        assert needs("b; pf -w 4; pelf -w 2").max_explicit_workers == 4
+        assert needs("pf; pelf").max_explicit_workers == 0
+        assert needs("b; rw").max_explicit_workers == 0
 
 
 class TestServeStream:
@@ -189,11 +108,6 @@ class TestServeStream:
         for name, g in suite.items():
             blocking, _ = run_flow(g.clone(), "b; elf; b", classifier=clf)
             assert report.result_of(name).bench_text == to_text(blocking), name
-        # Both shards hold >= 2 circuits, so fusion must actually batch.
-        assert report.fusion
-        for stats in report.fusion.values():
-            assert stats.mean_occupancy > 1.0
-            assert stats.amortization > 0.0
 
     def test_pelf_workers1_delegation_identical(self):
         suite = small_suite(3)
@@ -214,24 +128,6 @@ class TestServeStream:
         assert [order for order, _ in seen] == [0, 1, 2]
         assert sorted(name for _, name in seen) == sorted(suite)
 
-    def test_unfused_serving_matches_fused(self):
-        suite = small_suite(4)
-        clf = nontrivial_classifier()
-        fused = serve_suite(
-            suite, ServeParams(flow="elf", n_shards=1), classifier=clf
-        )
-        private = serve_suite(
-            suite,
-            ServeParams(flow="elf", n_shards=1, fuse_classifier=False),
-            classifier=clf,
-        )
-        assert fused.ok and private.ok
-        for name in suite:
-            assert (
-                fused.result_of(name).bench_text == private.result_of(name).bench_text
-            )
-        assert fused.fusion and not private.fusion
-
     def test_errors_are_isolated_not_fatal(self):
         suite = small_suite(3)
         # elf without a classifier fails inside each circuit's flow; the
@@ -245,9 +141,6 @@ class TestServeStream:
     def test_classifier_failure_unblocks_whole_shard(self):
         class Exploding:
             threshold = 0.5
-
-            def fused_keep_masks(self, batches):
-                raise RuntimeError("inference backend down")
 
             def keep_mask(self, features):
                 raise RuntimeError("inference backend down")
@@ -265,8 +158,8 @@ class TestServeStream:
         assert report.ok
         for name, g in suite.items():
             result = report.result_of(name)
-            assert result.graph is not None
-            assert equivalent(g, result.graph), name
+            assert result.bench_text is not None
+            assert equivalent(g, from_text(result.bench_text)), name
 
 
 class TestFlowServerHooks:
@@ -304,7 +197,7 @@ class TestFlowServerHooks:
         report = serve_suite(suite, ServeParams(flow="pf -w 2", n_shards=2, workers=1))
         assert report.ok
         for name, g in suite.items():
-            assert equivalent(g, report.result_of(name).graph), name
+            assert equivalent(g, from_text(report.result_of(name).bench_text)), name
 
     def test_external_executor_reused_not_closed(self):
         g = random_aig(7, 200, 4, seed=5)

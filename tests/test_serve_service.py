@@ -1,9 +1,10 @@
 """Tests for the production serve front: shard processes + service.
 
-Covers the contracts the service is built on: `serve_suite_procs`
-results are byte-identical to blocking derivation at ``workers=1``
+Covers the contracts the service is built on: `serve_suite` results
+are byte-identical to blocking derivation at ``workers=1``
 (cold, warm-through-cache, and across an injected shard-process kill
-with only that shard's circuits re-run), and the asyncio service
+with only that shard's circuits re-run), shard-child metrics reach
+the parent registry exactly once, and the asyncio service
 applies admission control and typed validation before any shard sees a
 request, including an oversized request line.
 """
@@ -23,7 +24,7 @@ from repro.circuits import layered_random_aig
 from repro.harness import serve_throughput
 from repro.opt import run_flow
 from repro.resilience import faults
-from repro.serve import ResultStore, ServeParams, serve_suite_procs
+from repro.serve import ResultStore, ServeParams, serve_suite
 from repro.serve.service import (
     MAX_REQUEST_LINE_BYTES,
     OptimizeService,
@@ -55,7 +56,7 @@ def blocking_texts(suite, flow=FLOW):
 class TestServeSuiteProcs:
     def test_byte_identical_to_blocking(self):
         suite = small_suite()
-        report = serve_suite_procs(suite, ServeParams(flow=FLOW, n_shards=2, workers=1))
+        report = serve_suite(suite, ServeParams(flow=FLOW, n_shards=2, workers=1))
         expected = blocking_texts(suite)
         assert sorted(r.name for r in report.results) == sorted(suite)
         for r in report.results:
@@ -66,8 +67,8 @@ class TestServeSuiteProcs:
         suite = small_suite()
         store = ResultStore()
         params = ServeParams(flow=FLOW, n_shards=2, workers=1)
-        cold = serve_suite_procs(suite, params, store=store)
-        warm = serve_suite_procs(suite, params, store=store)
+        cold = serve_suite(suite, params, store=store)
+        warm = serve_suite(suite, params, store=store)
         cold_text = {r.name: r.bench_text for r in cold.results}
         assert all(not r.cached for r in cold.results)
         for r in warm.results:
@@ -78,7 +79,7 @@ class TestServeSuiteProcs:
     def test_shard_kill_recovers_byte_identical(self):
         suite = small_suite()
         params = ServeParams(flow=FLOW, n_shards=2, workers=1)
-        clean = {r.name: r.bench_text for r in serve_suite_procs(suite, params).results}
+        clean = {r.name: r.bench_text for r in serve_suite(suite, params).results}
 
         metrics = obs.metrics()
         deaths0 = metrics.total("serve_shard_deaths_total")
@@ -90,7 +91,7 @@ class TestServeSuiteProcs:
         # fault site fires in shard children only — that is what
         # guarantees termination).
         with faults.injected("shard.circuit=kill#circuit=c2"):
-            report = serve_suite_procs(suite, params)
+            report = serve_suite(suite, params)
 
         assert sorted(r.name for r in report.results) == sorted(suite)
         for r in report.results:
@@ -99,6 +100,24 @@ class TestServeSuiteProcs:
         assert metrics.total("serve_shard_deaths_total") - deaths0 >= 2
         assert metrics.total("serve_shard_respawns_total") - respawns0 >= 1
         assert metrics.total("engine_degradations_total") - degraded0 >= 1
+
+    @pytest.mark.parametrize("plan", [None, "shard.circuit=kill#circuit=c2"])
+    def test_child_flow_metrics_reach_the_parent(self, plan):
+        suite = small_suite()
+        metrics = obs.metrics()
+        rf0 = metrics.value("flow_commands_total", command="rf")
+        b0 = metrics.value("flow_commands_total", command="b")
+        params = ServeParams(flow=FLOW, n_shards=2, workers=1)
+        if plan is None:
+            report = serve_suite(suite, params)
+        else:
+            # Killed attempts never reply; the re-runs (respawned, then
+            # degraded in-process) must count each circuit exactly once.
+            with faults.injected(plan):
+                report = serve_suite(suite, params)
+        assert report.ok
+        assert metrics.value("flow_commands_total", command="rf") - rf0 == len(suite)
+        assert metrics.value("flow_commands_total", command="b") - b0 == len(suite)
 
     def test_concurrent_shards_audit_through_cache(self):
         suite = small_suite()
@@ -217,6 +236,26 @@ class TestServiceEndToEnd:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
+
+    def test_metrics_op_lists_shard_flow_series(self, tmp_path):
+        socket_path = str(tmp_path / "serve.sock")
+        # The forked service starts from this process's registry.
+        rf0 = obs.metrics().value("flow_commands_total", command="rf")
+        proc = start_service(socket_path)
+        bench = to_text(random_aig(6, 90, 3, seed=7, name="metered"))
+        try:
+            served = request(socket_path, {"op": "optimize", "bench": bench})
+            assert served["ok"] and served["cached"] is False
+            text = request(socket_path, {"op": "metrics"})["text"]
+            samples = obs.parse_prometheus(text)
+            rf = [
+                value
+                for labels, value in samples.get("flow_commands_total", [])
+                if labels.get("command") == "rf"
+            ]
+            assert rf == [rf0 + 1]
+        finally:
+            stop_service(proc, socket_path)
 
     def test_oversized_line_is_typed_and_connection_survives(self, tmp_path):
         """A request line over the limit gets ``too_large``; the same

@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.aig import AIG
-from repro.aig.io_bench import to_text
+from repro.aig.io_bench import from_text, to_text
+from repro.circuits import epfl_circuit
 from repro.circuits.random_aig import layered_random_aig
 from repro.errors import ReproError
 from repro.opt import RESYN2, OptSession, run_flow
@@ -278,7 +279,7 @@ class TestServeQualityBudget:
         for r in report.results:
             assert r.ok and not r.cached
             assert r.tuned_script is not None
-            assert equivalent(suite[r.name], r.graph), r.name
+            assert equivalent(suite[r.name], from_text(r.bench_text)), r.name
         # Tuned content depends on the wall clock: the store must neither
         # answer nor learn from a quality-budget run.
         assert len(store) == 0
@@ -289,7 +290,19 @@ class TestServeQualityBudget:
         report = serve_suite(suite, ServeParams(quality_budget_s=0.001, n_shards=1))
         for r in report.results:
             assert r.ok, (r.name, r.error)  # expiry degrades, never errors
-            assert equivalent(suite[r.name], r.graph), r.name
+            assert equivalent(suite[r.name], from_text(r.bench_text)), r.name
+
+    def test_circuit_timeout_caps_the_tuner_budget(self):
+        # Uncapped, a 30 s budget tunes these for ~7 s (log2) and ~6 s
+        # (square) on a 2-core host before the search converges; capped
+        # at 0.5 s each returns in ~0.6 s.
+        suite = {name: epfl_circuit(name, "default") for name in ("log2", "square")}
+        params = ServeParams(quality_budget_s=30.0, circuit_timeout_s=0.5, n_shards=2)
+        report = serve_suite(suite, params)
+        for r in report.results:
+            assert r.ok, (r.name, r.error)
+            assert r.runtime < 3.0, (r.name, r.runtime)
+            assert equivalent(suite[r.name], from_text(r.bench_text)), r.name
 
     def test_service_validates_quality_budget(self):
         service = OptimizeService(ServiceConfig())
