@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench bench-rw bench-serve bench-tune bench-all bench-faults profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench bench-serve bench-tune bench-all bench-faults profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -60,11 +60,6 @@ tune-demo:
 # refactor rows of the repo-level BENCH_engine.json perf trajectory).
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py refactor
-
-# Wave-rewrite scaling: appends/refreshes the rewrite rows of
-# BENCH_engine.json without touching the refactor records.
-bench-rw:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py rewrite
 
 # Idle fault-injection overhead: a REPRO_FAULTS plan armed at every
 # site but never triggering vs no plan, on the layered-5k refactor run.

@@ -1,36 +1,31 @@
-"""Engine scaling: sequential operators vs conflict-wave engine workers.
+"""Engine scaling: sequential refactor vs conflict-wave engine workers.
 
 For each synthetic circuit the sequential sweep is timed once, then the
 engine runs at 1/2/4 workers on fresh clones; every engine result is
 verified equivalent to its input (exact exhaustive-simulation CEC — the
 circuits keep <= 16 PIs for precisely this reason) and its AND count is
-compared against the sequential sweep.  Both wave operators are
-measured: ``refactor`` (the ELF engine) and ``rewrite`` (the DAC'06
-operator on the same scheduler).  Results go to
+compared against the sequential sweep.  Results go to
 ``benchmarks/results/engine_scaling.{json,txt}`` (machine-readable,
-alongside the rendered table; a rewrite-only run writes
-``engine_scaling_rewrite.{json,txt}`` instead, so it never clobbers the
-committed refactor reference artifacts) and a standardized summary —
-runtime, speedup, re-snapshot rate and AND-diff per (operator, circuit,
-workers) — is additionally merged into the repo-level
-``BENCH_engine.json`` so successive PRs leave a diffable perf
-trajectory.  The merge is per-operator: ``make bench`` refreshes the
-refactor rows, ``make bench-rw`` appends/refreshes the rewrite rows,
-and neither clobbers the other's records.
+alongside the rendered table) and a standardized summary — runtime,
+speedup, re-snapshot rate and AND-diff per (circuit, workers) — is
+additionally merged into the repo-level ``BENCH_engine.json`` so
+successive PRs leave a diffable perf trajectory.  The merge is
+per-operator label: ``make bench`` refreshes the ``refactor`` rows and
+keeps every other label's records (``faults-idle``, ``serve``,
+``tune-search``, and the historical ``rewrite``/``transport`` rows of
+deleted mechanisms).
 
 Staleness is reported as ``stale -> resnap``: the sequential-fallback
 replay counter (structurally zero since the incremental re-snapshot
 pipeline landed) next to the number of cross-wave snapshot refreshes
 that replaced it, plus the evaluation dedup rate (wave-level dedup +
-cross-pass/NPN/library cache).
+cross-pass/NPN cache).
 
 Wall-clock speedup from worker parallelism requires actual cores: the
-refactor engine's dominant phase (ISOP + factoring in the worker pool)
-is pure CPU, so on a single-core container the pool only adds dispatch
-overhead.  The rewrite engine never pools (library lookups are memoized
-dict probes); its wave win is the batched truth kernel + per-flow
-library cache.  The JSON records the core count; the pytest variant
-asserts speedup only where the hardware can express it.
+engine's dominant phase (ISOP + factoring in the worker pool) is pure
+CPU, so on a single-core container the pool only adds dispatch
+overhead.  The JSON records the core count; the pytest variant asserts
+speedup only where the hardware can express it.
 
 The ``faults`` mode measures the idle overhead of the fault-injection
 sites (``docs/robustness.md``): a plan armed at every site but never
@@ -39,7 +34,7 @@ the ``faults-idle`` rows of ``BENCH_engine.json``.
 
 Runs standalone too:
 ``PYTHONPATH=src python benchmarks/bench_engine_scaling.py
-[refactor|rewrite|all|faults]``.
+[refactor|faults]``.
 """
 
 import json
@@ -61,21 +56,17 @@ CIRCUITS = (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def measure_circuit(
-    name: str, spec: dict, workers=WORKER_COUNTS, operator: str = "refactor"
-) -> dict:
+def measure_circuit(name: str, spec: dict, workers=WORKER_COUNTS) -> dict:
     """`harness.engine_scaling` sweep + equivalence check per engine run."""
     # Cold-start discipline: the ISOP memo and the metrics registry are
-    # process-wide, so without a reset an earlier operator row warms the
-    # later ones (rewrite rows timed against a refactor-heated memo, and
-    # counter deltas smeared across rows).  Every row starts cold.
+    # process-wide, so without a reset an earlier circuit warms the later
+    # ones (and counter deltas smear across rows).  Every row starts cold.
     clear_isop_memo()
     obs.reset()
     g = layered_random_aig(name=name, **spec)
-    baseline, *engine_rows = engine_scaling(g, workers_list=workers, operator=operator)
+    baseline, *engine_rows = engine_scaling(g, workers_list=workers)
     return {
         "circuit": name,
-        "operator": operator,
         "n_ands": g.n_ands,
         "n_pis": g.n_pis,
         "level": g.max_level(),
@@ -105,28 +96,15 @@ def measure_circuit(
     }
 
 
-def report_name(operators) -> str:
-    """Artifact stem for a run: rewrite-only runs keep their own files so
-    they never clobber the committed refactor reference artifacts."""
-    return "engine_scaling" if "refactor" in operators else "engine_scaling_rewrite"
-
-
-def run_scaling(
-    circuits=CIRCUITS, workers=WORKER_COUNTS, operators=("refactor",)
-) -> dict:
+def run_scaling(circuits=CIRCUITS, workers=WORKER_COUNTS) -> dict:
     payload = {
         "cores": os.cpu_count() or 1,
         "workers": list(workers),
-        "operators": list(operators),
-        "results": [
-            measure_circuit(name, spec, workers, operator)
-            for operator in operators
-            for name, spec in circuits
-        ],
+        "results": [measure_circuit(name, spec, workers) for name, spec in circuits],
     }
     results_dir = Path(__file__).resolve().parent / "results"
     results_dir.mkdir(parents=True, exist_ok=True)
-    (results_dir / f"{report_name(operators)}.json").write_text(
+    (results_dir / "engine_scaling.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
     write_bench_summary(payload)
@@ -136,22 +114,19 @@ def run_scaling(
 def write_bench_summary(payload: dict, path: Path | None = None) -> dict:
     """Standardized repo-level ``BENCH_engine.json`` perf trajectory.
 
-    One flat record per (operator, circuit, workers) with the headline
-    quantities — runtime, speedup, stale/re-snapshot counters, AND-diff —
-    so future PRs can diff engine performance without parsing the full
-    report.  Records of operators *not* in this payload are preserved
-    from the existing file, which is what lets ``make bench`` (refactor)
-    and ``make bench-rw`` (rewrite) maintain one trajectory together.
+    One flat record per (circuit, workers) with the headline quantities
+    — runtime, speedup, stale/re-snapshot counters, AND-diff — so future
+    PRs can diff engine performance without parsing the full report.
+    The records carry the ``refactor`` operator label; records of every
+    other label are preserved from the existing file.
     """
     records = []
     for result in payload["results"]:
-        operator = result.get("operator", "refactor")
-        mode_prefix = "" if operator == "refactor" else f"{operator}-"
         records.append(
             {
-                "operator": operator,
+                "operator": "refactor",
                 "circuit": result["circuit"],
-                "mode": f"{mode_prefix}sequential",
+                "mode": "sequential",
                 "workers": 0,
                 "runtime_s": round(result["sequential"]["runtime"], 4),
                 "speedup": 1.0,
@@ -165,9 +140,9 @@ def write_bench_summary(payload: dict, path: Path | None = None) -> dict:
         for point in result["engine"]:
             records.append(
                 {
-                    "operator": operator,
+                    "operator": "refactor",
                     "circuit": result["circuit"],
-                    "mode": f"{mode_prefix}engine-w{point['workers']}",
+                    "mode": f"engine-w{point['workers']}",
                     "workers": point["workers"],
                     "runtime_s": round(point["runtime"], 4),
                     "speedup": round(point["speedup"], 4),
@@ -184,8 +159,9 @@ def write_bench_summary(payload: dict, path: Path | None = None) -> dict:
 def merge_bench_records(records: list, cores: int, path: Path | None = None) -> dict:
     """Merge ``records`` into ``BENCH_engine.json``, preserving the
     records of every operator *not* measured this run — the mechanism
-    that lets ``make bench`` / ``make bench-rw`` / ``make bench-faults``
-    maintain one perf trajectory without clobbering each other.
+    that lets ``make bench`` / ``make bench-faults`` / ``make bench-serve``
+    / ``make bench-tune`` maintain one perf trajectory without clobbering
+    each other.
 
     Every record is stamped with the ``cpu_count`` it was measured on
     (kept records missing one are backfilled from their file's top-level
@@ -377,11 +353,9 @@ def render_faults(payload: dict) -> str:
 def render(payload: dict) -> str:
     rows = []
     for result in payload["results"]:
-        operator = result.get("operator", "refactor")
         rows.append(
             [
                 result["circuit"],
-                operator,
                 "sequential",
                 f"{result['sequential']['runtime']:.2f}s",
                 "1.00x",
@@ -396,7 +370,6 @@ def render(payload: dict) -> str:
             rows.append(
                 [
                     result["circuit"],
-                    operator,
                     f"engine w={point['workers']}",
                     f"{point['runtime']:.2f}s",
                     f"{point['speedup']:.2f}x",
@@ -410,7 +383,6 @@ def render(payload: dict) -> str:
     return format_table(
         [
             "Circuit",
-            "Operator",
             "Mode",
             "Runtime",
             "Speedup",
@@ -428,39 +400,27 @@ def render(payload: dict) -> str:
 def test_engine_scaling(benchmark):
     from conftest import record_report
 
-    payload = benchmark.pedantic(
-        run_scaling,
-        kwargs={"operators": ("refactor", "rewrite")},
-        rounds=1,
-        iterations=1,
-    )
+    payload = benchmark.pedantic(run_scaling, rounds=1, iterations=1)
     text = render(payload)
     write_report("engine_scaling", text)
     record_report("engine_scaling", text)
 
     for result in payload["results"]:
-        operator = result.get("operator", "refactor")
-        # Rewrite waves track sequential tighter than refactor waves: the
-        # acceptance bound is +-1.5% vs +-2% (4-feasible cuts are more
-        # disjoint, so wave order disturbs the greedy sweep less).
-        bound = 1.5 if operator == "rewrite" else 2.0
         for point in result["engine"]:
             # Every engine run must preserve functionality and land within
-            # the bound of the sequential sweep's quality.
-            assert point["equivalent"], (operator, result["circuit"], point["workers"])
-            assert abs(point["and_diff_pct"]) <= bound, (operator, point)
+            # 2% of the sequential sweep's quality.
+            assert point["equivalent"], (result["circuit"], point["workers"])
+            assert abs(point["and_diff_pct"]) <= 2.0, point
             # The sequential fallback is gone: staleness is handled by the
             # incremental re-snapshot pipeline instead.
             assert point["n_stale"] == 0, point
             if point["workers"] > 1:
-                assert point["n_resnapshotted"] > 0, (operator, point)
-    # Worker scaling is only observable with real cores behind the pool,
-    # and only the refactor engine dispatches to the pool at all.
+                assert point["n_resnapshotted"] > 0, point
+    # Worker scaling is only observable with real cores behind the pool.
     if payload["cores"] >= 4:
         four = [
             point
             for result in payload["results"]
-            if result.get("operator", "refactor") == "refactor"
             for point in result["engine"]
             if point["workers"] == 4
         ]
@@ -479,16 +439,10 @@ if __name__ == "__main__":
             "and the faults-idle rows of BENCH_engine.json"
         )
         raise SystemExit(0)
-    operators = {
-        "refactor": ("refactor",),
-        "rewrite": ("rewrite",),
-        "all": ("refactor", "rewrite"),
-    }.get(choice)
-    if operators is None:
-        raise SystemExit(f"usage: {sys.argv[0]} [refactor|rewrite|all|faults]")
-    report = run_scaling(operators=operators)
+    if choice != "refactor":
+        raise SystemExit(f"usage: {sys.argv[0]} [refactor|faults]")
+    report = run_scaling()
     text = render(report)
-    name = report_name(operators)
-    write_report(name, text)
+    write_report("engine_scaling", text)
     print(text)
-    print(f"\nwritten: benchmarks/results/{name}.{{json,txt}} and BENCH_engine.json")
+    print("\nwritten: benchmarks/results/engine_scaling.{json,txt} and BENCH_engine.json")

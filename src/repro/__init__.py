@@ -23,7 +23,7 @@ generators), ``verify`` (SAT/CEC), ``analysis`` (t-SNE/SHAP), and
 """
 
 from .aig import AIG
-from .elf import ElfClassifier, ElfParams, elf_refactor, elf_refactor_parallel
+from .elf import ElfClassifier, ElfParams, elf_refactor
 from .engine import EngineParams, EngineStats, engine_refactor
 from .opt import OptSession, RefactorParams, refactor, run_flow
 
@@ -38,7 +38,6 @@ __all__ = [
     "OptSession",
     "RefactorParams",
     "elf_refactor",
-    "elf_refactor_parallel",
     "engine_refactor",
     "refactor",
     "run_flow",

@@ -1,7 +1,7 @@
 """ELF: the paper's contribution — classifier-pruned refactoring."""
 
 from .classifier import ElfClassifier
-from .operator import ElfParams, elf_refactor, elf_refactor_parallel
+from .operator import ElfParams, elf_refactor
 from .pipeline import (
     ComparisonRow,
     collect_dataset,
@@ -17,7 +17,6 @@ __all__ = [
     "collect_dataset",
     "compare",
     "elf_refactor",
-    "elf_refactor_parallel",
     "evaluate_classifier",
     "train_leave_one_out",
 ]

@@ -125,34 +125,6 @@ def elf_refactor(
     return stats
 
 
-def elf_refactor_parallel(
-    g: AIG,
-    classifier: ElfClassifier,
-    params: ElfParams | None = None,
-    workers: int = 0,
-):
-    """ELF deployed on the conflict-wave engine (``repro.engine``).
-
-    Candidates are partitioned into conflict-free commit waves, each wave
-    is classified with one fused inference, and surviving cuts are
-    resynthesized by a worker pool.  ``workers=0`` uses one worker per
-    core; ``workers=1`` is the deterministic in-process mode, identical
-    to :func:`elf_refactor`.  Returns :class:`repro.engine.EngineStats`.
-    """
-    from ..engine import EngineParams, engine_refactor
-
-    params = params or ElfParams()
-    return engine_refactor(
-        g,
-        EngineParams(
-            refactor=params.refactor,
-            workers=workers,
-            elf_batched=params.batched,
-        ),
-        classifier=classifier,
-    )
-
-
 def _batch_classify(
     g: AIG,
     nodes: list[int],

@@ -5,14 +5,10 @@ lever ELF adds on top is classifier pruning.  This subsystem adds the
 other lever: footprint-disjoint candidates are grouped into
 conflict-free commit waves (:mod:`repro.engine.conflict`), each wave is
 batch-evaluated off the main graph, and winning commits are replayed
-serially (:mod:`repro.engine.scheduler`).  The scheduler itself is
-operator-agnostic: everything operator-specific sits behind the
-:class:`repro.engine.operators.WaveOperator` protocol, with two
-adapters — :class:`repro.engine.operators.RefactorWaveOp` (refactor /
+serially (:mod:`repro.engine.scheduler`).  The scheduler drives one
+operator, :class:`repro.engine.operators.RefactorWaveOp` (refactor /
 ELF: pooled resynthesis via :mod:`repro.engine.parallel` through the
-cross-pass NPN-aware cache of :mod:`repro.engine.cache`) and
-:class:`repro.engine.operators.RewriteWaveOp` (DAC'06 rewriting:
-batched truth kernels + cached NPN-library lookups).  Snapshots an
+cross-pass NPN-aware cache of :mod:`repro.engine.cache`).  Snapshots an
 earlier wave invalidates are incrementally re-cut and re-waved via the
 graph's dirty journal and the candidate inverted index — there is no
 sequential fallback.  ``workers=1`` delegates to the sequential
@@ -21,16 +17,9 @@ operators, bit for bit.
 
 from .cache import ResynthCache, remap_tree
 from .conflict import Candidate, CandidateIndex, build_conflict_graph, color_waves
-from .operators import RefactorWaveOp, RewriteWaveOp, WaveOperator
+from .operators import RefactorWaveOp
 from .parallel import ResynthExecutor, resynthesize_batch
-from .scheduler import (
-    EngineParams,
-    EngineStats,
-    RewriteEngineParams,
-    engine_refactor,
-    engine_rewrite,
-    run_wave_pass,
-)
+from .scheduler import EngineParams, EngineStats, engine_refactor, run_wave_pass
 
 __all__ = [
     "Candidate",
@@ -40,13 +29,9 @@ __all__ = [
     "RefactorWaveOp",
     "ResynthCache",
     "ResynthExecutor",
-    "RewriteEngineParams",
-    "RewriteWaveOp",
-    "WaveOperator",
     "build_conflict_graph",
     "color_waves",
     "engine_refactor",
-    "engine_rewrite",
     "remap_tree",
     "resynthesize_batch",
     "run_wave_pass",

@@ -24,14 +24,6 @@ they are therefore only served to consumers that opted in via
 :meth:`ResynthCache.npn_view` — the conflict-wave scheduler — whose
 commits are gain-checked against the real graph either way.
 
-A third, independent layer serves the *rewrite* family:
-:meth:`ResynthCache.library_lookup` memoizes the NPN-library resolution
-``tt4 -> (LibraryEntry, Transform)`` per cache (i.e. per flow), so every
-``prw`` wave — and every later rewrite step of the same script — pays
-the canonization walk for each distinct 4-variable function once.  The
-layer stores the library's own (immutable) entries, never derived trees,
-so it is deterministic and safe for any consumer.
-
 Every layer can be bounded: ``ResynthCache(max_entries=N)`` keeps at
 most ``N`` entries per layer in LRU order and counts evictions on the
 ``engine_cache_evictions_total{layer=...}`` metric.  Unbounded remains
@@ -101,13 +93,9 @@ class ResynthCache:
         # Canonical 4-variable entries: class table -> entry in the
         # canonical variable space.  Populated lazily, by NPN views only.
         self._canonical: dict[int, tuple] = {}
-        # Rewrite-library resolutions: padded tt4 -> (entry, transform).
-        self._library: dict[int, tuple] = {}
         self.hits_exact = 0
         self.hits_npn = 0
         self.misses = 0
-        self.hits_library = 0
-        self.misses_library = 0
         self._npn_lookup = False
         # View-local state: remapped entries, and transforms computed by
         # a miss in get() so __setitem__ need not canonize again.
@@ -119,7 +107,6 @@ class ResynthCache:
         view = ResynthCache(self.max_entries)
         view._exact = self._exact
         view._canonical = self._canonical
-        view._library = self._library
         view._npn_lookup = True
         view._stats_owner = self._owner()
         return view
@@ -194,28 +181,6 @@ class ResynthCache:
                 inverted ^ inverse[2],
             )
             self._trim(self._canonical, "canonical")
-
-    def library_lookup(self, tt4: int, library) -> tuple:
-        """Cached NPN-library resolution of a padded 4-variable function.
-
-        Returns the library's ``(entry, transform)`` pair for ``tt4``,
-        memoized in a layer shared by every view of this cache.  Unlike
-        the resynthesis layers above, the stored values come straight
-        from :meth:`repro.opt.npn_library.NpnLibrary.lookup` — immutable
-        class implementations plus the recorded transform — so a hit is
-        exactly the pair a direct lookup would return, for any consumer.
-        """
-        owner = self._owner()
-        hit = self._library.get(tt4)
-        if hit is not None:
-            self._touch(self._library, tt4)
-            owner.hits_library += 1
-            return hit
-        owner.misses_library += 1
-        resolved = library.lookup(tt4)
-        self._library[tt4] = resolved
-        self._trim(self._library, "library")
-        return resolved
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._exact

@@ -1,14 +1,12 @@
-"""The conflict-aware wave scheduler (the engine's operator-agnostic core).
+"""The conflict-aware wave scheduler (the engine's core).
 
-One engine pass over a network runs in four phases, none of which knows
-which operator it is running — everything operator-specific sits behind
-the :class:`repro.engine.operators.WaveOperator` protocol (``snapshot`` /
-``evaluate`` / ``commit`` plus lifecycle glue):
+One engine pass over a network runs in four phases; the cut- and
+resynthesis-facing work sits in the :class:`repro.engine.operators.RefactorWaveOp`
+hooks (``snapshot`` / ``evaluate`` / ``commit`` plus pass-level glue):
 
 1. **Snapshot sweep** — every live AND is offered to the operator's
-   ``snapshot`` hook exactly once, on the unmodified graph; refactor
-   returns its reconvergence cut + cut-bounded MFFC (+ ELF features),
-   rewrite its 4-feasible cut set with a union footprint.
+   ``snapshot`` hook exactly once, on the unmodified graph, which
+   returns its reconvergence cut + cut-bounded MFFC (+ ELF features).
 2. **Conflict planning** — candidates whose commits could interfere are
    linked in a conflict graph (:mod:`repro.engine.conflict`) and greedily
    colored into conflict-free commit waves; the same sweep builds the
@@ -16,11 +14,10 @@ the :class:`repro.engine.operators.WaveOperator` protocol (``snapshot`` /
 3. **Per wave** — members with features are stacked and classified with
    a single fused inference (the paper's batching trick, applied per
    wave); survivors are handed to the operator's ``evaluate`` hook as
-   one batch (refactor: multi-root truth kernel + pooled resynthesis
-   through the cross-pass NPN-aware cache; rewrite: multi-root truth
-   kernel + cached NPN-library lookups); results are gain-checked and
-   committed serially in ascending node order through the operator's
-   ``commit`` hook — the same commit code the sequential operators use.
+   one batch (multi-root truth kernel + pooled resynthesis through the
+   cross-pass NPN-aware cache); results are gain-checked and committed
+   serially in ascending node order through the operator's ``commit``
+   hook — the same commit code the sequential operators use.
 4. **Incremental re-snapshot** — each commit drains the graph's dirty
    journal; the killed set, pushed through the candidate index, yields
    the exact set of candidates whose snapshots the commit invalidated
@@ -37,7 +34,7 @@ the :class:`repro.engine.operators.WaveOperator` protocol (``snapshot`` /
 
 ``workers <= 1`` bypasses all of the above and *delegates* to the
 sequential operators, which makes the single-worker engine bit-identical
-to ``refactor()`` / ``elf_refactor()`` / ``rewrite()`` by construction.
+to ``refactor()`` / ``elf_refactor()`` by construction.
 """
 
 from __future__ import annotations
@@ -55,11 +52,10 @@ from ..opt.refactor import (
     RefactorStats,
     refactor,
 )
-from ..opt.rewrite import RewriteParams, RewriteStats, rewrite
 from ..resilience import Deadline, policy
 from .cache import ResynthCache
 from .conflict import Candidate, CandidateIndex, build_conflict_graph, color_waves
-from .operators import RefactorWaveOp, RewriteWaveOp, WaveOperator
+from .operators import RefactorWaveOp
 from .parallel import ResynthExecutor
 
 
@@ -69,13 +65,13 @@ class EngineParams:
 
     ``workers = 0`` means auto (one worker per available core).
 
-    ``executor`` plugs in an externally owned :class:`ResynthExecutor`
-    so one worker pool can be shared across many engine passes — the
-    serving layer runs every circuit of a shard through the same pool
-    instead of forking a fresh one per pass.  An external executor
-    overrides ``workers`` (the pool was sized at construction) and is
-    left open when the pass finishes; its ``params`` are what pooled
-    resynthesis uses, so keep them consistent with ``refactor``.
+    ``executor`` plugs in a caller-owned :class:`ResynthExecutor` so one
+    worker pool can be shared across many engine passes — an
+    :class:`repro.opt.session.OptSession` hands its pool to every
+    parallel step instead of forking a fresh one per pass.  A passed
+    executor overrides ``workers`` (the pool was sized at construction)
+    and is left open when the pass finishes; its ``params`` are what
+    pooled resynthesis uses, so keep them consistent with ``refactor``.
 
     ``resynth_cache`` plugs in an externally owned
     :class:`repro.engine.cache.ResynthCache` so factored forms survive
@@ -88,10 +84,6 @@ class EngineParams:
 
     refactor: RefactorParams = field(default_factory=RefactorParams)
     workers: int = 0
-    # Classification mode for the ``workers=1`` delegation to the
-    # sequential ELF operator (wave mode always classifies batched, one
-    # fused inference per wave); mirrors ``ElfParams.batched``.
-    elf_batched: bool = True
     executor: "ResynthExecutor | None" = None
     resynth_cache: "ResynthCache | None" = None
     # Latency budget for this pass: checked at wave boundaries and bound
@@ -109,54 +101,9 @@ class EngineParams:
 
 
 @dataclass
-class RewriteEngineParams:
-    """Engine knobs for the wave-rewrite pass (``prw`` / ``prwz``).
-
-    ``workers`` selects the mode exactly like :class:`EngineParams`:
-    ``<= 1`` delegates to the sequential :func:`repro.opt.rewrite.rewrite`
-    (bit-identical by construction), ``>= 2`` runs the wave pipeline, and
-    ``0`` means auto.  ``executor`` is accepted for server-hook symmetry
-    with the refactor engine — a shared executor's width sizes the pass
-    (the pool was provisioned for the whole served flow) — but rewrite
-    evaluation never dispatches to it: NPN-library lookups are memoized
-    dict probes, far below process-dispatch cost.
-
-    ``resynth_cache`` shares the flow-level cache's *library layer*
-    (:meth:`repro.engine.cache.ResynthCache.library_lookup`), so every
-    rewrite step of one script canonizes each distinct cut function
-    once.  ``library`` pins the NPN library (default: the process-wide
-    shared instance).
-    """
-
-    rewrite: RewriteParams = field(default_factory=RewriteParams)
-    workers: int = 0
-    executor: "ResynthExecutor | None" = None
-    resynth_cache: "ResynthCache | None" = None
-    library: object | None = None
-    # Same wave-boundary latency budget as EngineParams.deadline.
-    deadline: "Deadline | None" = None
-
-    def resolved_workers(self) -> int:
-        if self.executor is not None:
-            return self.executor.workers
-        if self.workers > 0:
-            return self.workers
-        return os.cpu_count() or 1
-
-
-@dataclass
 class EngineStats(RefactorStats):
-    """`RefactorStats` plus the engine's scheduling counters.
+    """`RefactorStats` plus the engine's scheduling counters."""
 
-    One stats type serves every wave operator; ``operator`` records which
-    one ran.  For rewrite runs the inherited counters are mapped from
-    :class:`repro.opt.rewrite.RewriteStats`: ``cuts_formed`` counts
-    evaluated cuts (sequential ``cuts_tried``), ``fail_gain`` counts
-    nodes where no cut committed, and ``n_stale_cuts`` / ``n_library_hits``
-    are rewrite-specific (zero for refactor runs).
-    """
-
-    operator: str = "refactor"
     workers: int = 1
     delegated: bool = False  # ran the plain sequential operator
     n_candidates: int = 0
@@ -174,8 +121,6 @@ class EngineStats(RefactorStats):
     n_unique_tasks: int = 0  # after wave dedup + cross-pass cache hits
     n_cache_hits: int = 0  # exact resynthesis cache hits this pass
     n_npn_hits: int = 0  # NPN-class remap hits this pass
-    n_library_hits: int = 0  # rewrite-library layer hits this pass
-    n_stale_cuts: int = 0  # rewrite cuts dropped as stale (dead/uncovered)
     time_snapshot: float = 0.0
     time_conflict: float = 0.0
     time_parallel: float = 0.0  # wall time inside the worker pool
@@ -215,7 +160,7 @@ def engine_refactor(
         # an already-expired budget still refuses to start the pass.
         if params.deadline is not None:
             params.deadline.check("engine.pass")
-        with obs.span("engine.pass", operator="refactor", workers=1, delegated=True):
+        with obs.span("engine.pass", workers=1, delegated=True):
             stats = _delegate_sequential(g, params, classifier)
         _record_pass_metrics(stats)
         return stats
@@ -242,41 +187,6 @@ def engine_refactor(
     return stats
 
 
-def engine_rewrite(
-    g: AIG,
-    params: RewriteEngineParams | None = None,
-) -> EngineStats:
-    """One conflict-wave rewrite pass over ``g`` in place.
-
-    The same scheduler as :func:`engine_refactor`, driving the
-    :class:`repro.engine.operators.RewriteWaveOp` adapter; ``workers <= 1``
-    delegates to the sequential :func:`repro.opt.rewrite.rewrite`
-    bit-identically.
-    """
-    from ..opt.npn_library import default_library
-
-    params = params or RewriteEngineParams()
-    workers = params.resolved_workers()
-    if workers <= 1:
-        if params.deadline is not None:
-            params.deadline.check("engine.pass")
-        with obs.span("engine.pass", operator="rewrite", workers=1, delegated=True):
-            stats = _delegate_sequential_rewrite(g, params)
-        _record_pass_metrics(stats)
-        return stats
-
-    stats = EngineStats(workers=workers, operator="rewrite")
-    base_cache = params.resynth_cache
-    if base_cache is None:
-        base_cache = ResynthCache()
-    library = params.library
-    if library is None:  # NB: a fresh library is empty and therefore falsy
-        library = default_library()
-    op = RewriteWaveOp(params.rewrite, base_cache, library)
-    run_wave_pass(g, op, stats, classifier=None, deadline=params.deadline)
-    return stats
-
-
 def _delegate_sequential(g: AIG, params: EngineParams, classifier) -> EngineStats:
     """Deterministic in-process mode: run the sequential operator as-is.
 
@@ -293,7 +203,7 @@ def _delegate_sequential(g: AIG, params: EngineParams, classifier) -> EngineStat
         base = elf_refactor(
             g,
             classifier,
-            ElfParams(refactor=params.refactor, batched=params.elf_batched),
+            ElfParams(refactor=params.refactor),
             cache=cache,
         )
     stats = EngineStats(workers=1, delegated=True)
@@ -304,37 +214,21 @@ def _delegate_sequential(g: AIG, params: EngineParams, classifier) -> EngineStat
     return stats
 
 
-def _delegate_sequential_rewrite(g: AIG, params: RewriteEngineParams) -> EngineStats:
-    """``workers <= 1`` rewrite mode: run ``rewrite()`` itself, bit for bit,
-    then map its counters onto the engine's stats shape."""
-    base: RewriteStats = rewrite(g, params.rewrite, library=params.library)
-    stats = EngineStats(workers=1, delegated=True, operator="rewrite")
-    stats.nodes_visited = base.nodes_visited
-    stats.cuts_formed = base.cuts_tried
-    stats.commits = base.commits
-    stats.gain_total = base.gain_total
-    stats.n_stale_cuts = base.stale_cuts
-    stats.time_total = base.time_total
-    stats.n_candidates = base.nodes_visited
-    stats.n_waves = 1 if base.nodes_visited else 0
-    return stats
-
-
 def run_wave_pass(
     g: AIG,
-    op: WaveOperator,
+    op: RefactorWaveOp,
     stats: EngineStats,
     classifier=None,
     deadline: "Deadline | None" = None,
 ) -> EngineStats:
-    """Run one generic wave pass of ``op`` over ``g`` in place.
+    """Run one wave pass of ``op`` over ``g`` in place.
 
-    The scheduler owns everything operator-agnostic — candidate
-    bookkeeping, conflict planning, wave coloring, fused classification
-    (when ``classifier`` is given and the operator snapshots features),
-    invalidation and repair waves — and calls the operator's hooks for
-    the rest.  ``stats`` is the caller-constructed :class:`EngineStats`
-    (mutated in place and returned).
+    The scheduler owns candidate bookkeeping, conflict planning, wave
+    coloring, fused classification (when ``classifier`` is given and the
+    operator snapshots features), invalidation and repair waves, and
+    calls the operator's hooks for the rest.  ``stats`` is the
+    caller-constructed :class:`EngineStats` (mutated in place and
+    returned).
 
     ``deadline`` bounds the pass: it is checked before every wave (and
     repair round), handed to the operator (``op.deadline``) so pooled
@@ -353,9 +247,7 @@ def run_wave_pass(
     """
     op.deadline = deadline
     exceeded: DeadlineExceeded | None = None
-    with obs.span(
-        "engine.pass", operator=stats.operator, workers=stats.workers
-    ) as pass_span:
+    with obs.span("engine.pass", workers=stats.workers) as pass_span:
         # Phase 1: pass-level prep + snapshot sweep on the intact graph.
         with obs.span("engine.snapshot") as snap_span:
             op.prepare(g, stats)
@@ -434,7 +326,6 @@ def run_wave_pass(
             n_repair_waves=stats.n_repair_waves,
             n_cache_hits=stats.n_cache_hits,
             n_npn_hits=stats.n_npn_hits,
-            n_library_hits=stats.n_library_hits,
             dedup_rate=round(stats.dedup_rate, 6),
             commits=stats.commits,
         )
@@ -455,28 +346,24 @@ def _record_pass_metrics(stats: EngineStats) -> None:
     hand-rolled timers.
     """
     m = obs.metrics()
-    op = stats.operator
-    m.counter("engine_passes_total", operator=op).add(1)
-    m.counter("engine_waves_total", operator=op).add(stats.n_waves)
-    m.counter("engine_commits_total", operator=op).add(stats.commits)
-    m.counter("engine_tasks_total", operator=op).add(stats.n_tasks)
-    m.counter("engine_unique_tasks_total", operator=op).add(stats.n_unique_tasks)
-    m.counter("engine_invalidated_total", operator=op).add(stats.n_invalidated)
-    m.counter("engine_resnapshotted_total", operator=op).add(stats.n_resnapshotted)
-    m.counter("engine_repair_waves_total", operator=op).add(stats.n_repair_waves)
-    m.counter("engine_cache_hits_total", operator=op, layer="exact").add(stats.n_cache_hits)
-    m.counter("engine_cache_hits_total", operator=op, layer="npn").add(stats.n_npn_hits)
-    m.counter("engine_cache_hits_total", operator=op, layer="library").add(
-        stats.n_library_hits
+    m.counter("engine_passes_total").add(1)
+    m.counter("engine_waves_total").add(stats.n_waves)
+    m.counter("engine_commits_total").add(stats.commits)
+    m.counter("engine_tasks_total").add(stats.n_tasks)
+    m.counter("engine_unique_tasks_total").add(stats.n_unique_tasks)
+    m.counter("engine_invalidated_total").add(stats.n_invalidated)
+    m.counter("engine_resnapshotted_total").add(stats.n_resnapshotted)
+    m.counter("engine_repair_waves_total").add(stats.n_repair_waves)
+    m.counter("engine_cache_hits_total", layer="exact").add(stats.n_cache_hits)
+    m.counter("engine_cache_hits_total", layer="npn").add(stats.n_npn_hits)
+    m.histogram("engine_pass_seconds", workers=str(stats.workers)).observe(
+        stats.time_total
     )
-    m.histogram(
-        "engine_pass_seconds", operator=op, workers=str(stats.workers)
-    ).observe(stats.time_total)
 
 
 def _refresh_members(
     g: AIG,
-    op: WaveOperator,
+    op: RefactorWaveOp,
     member_indices: list[int],
     candidates: list[Candidate],
     index: CandidateIndex,
@@ -490,9 +377,8 @@ def _refresh_members(
     operator's ``resnapshot`` hook, on the graph every earlier commit
     already shaped — happens exactly once per wave arrival.  Dead roots
     are dropped (the commit cascade consumed them; the sequential sweep
-    skips those too), and roots the operator declines to re-snapshot
-    (collapsed cuts, all-stale cut sets) are accounted by the hook and
-    dropped as well.
+    skips those too), and roots whose fresh cut collapses are accounted
+    by the hook and dropped as well.
     """
     refreshed: list[tuple[int, Candidate]] = []
     with obs.span("engine.resnapshot") as sp:
@@ -521,7 +407,7 @@ def _refresh_members(
 
 def _run_wave(
     g: AIG,
-    op: WaveOperator,
+    op: RefactorWaveOp,
     member_indices: list[int],
     candidates: list[Candidate],
     index: CandidateIndex,
@@ -562,7 +448,7 @@ def _run_wave(
         survivors = members
 
     # The operator's batchable middle: truth kernels, cache lookups,
-    # pooled resynthesis — whatever the operator fuses per wave.
+    # pooled resynthesis.
     with obs.span("engine.evaluate", survivors=len(survivors)):
         results = op.evaluate(g, survivors, stats)
 

@@ -147,8 +147,7 @@ class EngineScalingRow:
     """One (design, workers) measurement of the conflict-wave engine.
 
     ``workers == 0`` encodes the sequential baseline the speedups are
-    normalized against; ``operator`` names the wave operator measured
-    (``"refactor"`` or ``"rewrite"``).
+    normalized against.
     """
 
     design: str
@@ -162,7 +161,6 @@ class EngineScalingRow:
     n_resnapshotted: int = 0  # cross-wave incremental snapshot refreshes
     dedup_rate: float = 0.0  # evaluation tasks eliminated by dedup/cache
     commits: int = 0
-    operator: str = "refactor"
     graph: AIG | None = None  # the optimized clone (for CEC by callers)
 
 
@@ -171,62 +169,33 @@ def engine_scaling(
     workers_list: tuple[int, ...] = (1, 2, 4),
     params=None,
     classifier: ElfClassifier | None = None,
-    operator: str = "refactor",
 ) -> list[EngineScalingRow]:
-    """Sequential sweep vs the wave engine at each worker count.
+    """Sequential refactor vs the wave engine at each worker count.
 
     Every run starts from a fresh clone.  The first returned row
     (``workers == 0``) is the sequential baseline; every engine row
-    carries its speedup against it.  ``operator`` selects the wave
-    operator: ``"refactor"`` (optionally classifier-pruned) or
-    ``"rewrite"``; rewrite runs use a private NPN library per timed run
-    so no run starts with another's canonization cache.
+    carries its speedup against it.  With ``classifier`` the engine runs
+    classifier-pruned (parallel ELF).
 
     Runtimes are the operators' own ``stats.time_total``, which the
     :mod:`repro.obs` span instrumentation fills — the benchmark no
     longer keeps a hand-rolled clock around each run, so its numbers
     are exactly the timings a trace export of the same run shows.
     """
-    from ..engine import (
-        EngineParams,
-        RewriteEngineParams,
-        engine_refactor,
-        engine_rewrite,
-    )
-    from ..opt.npn_library import NpnLibrary
-    from ..opt.rewrite import rewrite as rewrite_pass
+    from ..engine import EngineParams, engine_refactor
     from ..tt.isop import clear_isop_memo
 
-    if operator not in ("refactor", "rewrite"):
-        raise ValueError(f"unknown engine_scaling operator {operator!r}")
-    if operator == "rewrite":
-        rewrite_params = params or RewriteEngineParams()
+    engine_params = params or EngineParams()
 
-        def run_baseline(clone):
-            return rewrite_pass(clone, rewrite_params.rewrite, library=NpnLibrary())
+    def run_baseline(clone):
+        return refactor(clone, engine_params.refactor)
 
-        def run_engine(clone, workers):
-            return engine_rewrite(
-                clone,
-                RewriteEngineParams(
-                    rewrite=rewrite_params.rewrite,
-                    workers=workers,
-                    library=NpnLibrary(),
-                ),
-            )
-
-    else:
-        engine_params = params or EngineParams()
-
-        def run_baseline(clone):
-            return refactor(clone, engine_params.refactor)
-
-        def run_engine(clone, workers):
-            return engine_refactor(
-                clone,
-                EngineParams(refactor=engine_params.refactor, workers=workers),
-                classifier=classifier,
-            )
+    def run_engine(clone, workers):
+        return engine_refactor(
+            clone,
+            EngineParams(refactor=engine_params.refactor, workers=workers),
+            classifier=classifier,
+        )
 
     # One untimed full-size pass first: the first big pass of a process
     # pays one-time costs (bytecode warmup, allocator arena growth) that
@@ -249,7 +218,6 @@ def engine_scaling(
             level=baseline_g.max_level(),
             speedup=1.0,
             commits=baseline_stats.commits,
-            operator=operator,
             graph=baseline_g,
         )
     ]
@@ -271,7 +239,6 @@ def engine_scaling(
                 n_resnapshotted=stats.n_resnapshotted,
                 dedup_rate=stats.dedup_rate,
                 commits=stats.commits,
-                operator=operator,
                 graph=engine_g,
             )
         )

@@ -38,6 +38,7 @@ benchmarks call ``obs.reset()`` to start from a clean tracer/registry.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 
 from .core import DisabledSpan, Span, Tracer
@@ -113,10 +114,13 @@ def histogram(name: str, buckets: tuple = DEFAULT_BUCKETS, **labels) -> Histogra
 
 
 def next_label(prefix: str) -> str:
-    """Process-unique label value (``"s1"``, ``"s2"``, ...) for per-instance
-    series — session and shard stats use these so their registry series
-    never collide."""
-    return f"{prefix}{next(_sequence)}"
+    """Unique label value (``"session4242-1"``: prefix, pid, sequence) for
+    per-instance series — session and store stats use these so their
+    registry series never collide.  The pid matters because forked shard
+    processes inherit the sequence: without it two shards' first sessions
+    would share one label, and their series would fuse when the shard
+    metric deltas merge into the parent."""
+    return f"{prefix}{os.getpid()}-{next(_sequence)}"
 
 
 def merge_worker_snapshot(snapshot: dict | None) -> None:

@@ -5,8 +5,9 @@
 node counts, depths and runtimes — this powers the paper's claim that
 refactor consumes 20-40% of a resyn2-style flow despite running only
 twice (SS II).  ELF steps (``elf``/``elfz``) slot into the same scripts
-when a classifier is supplied, and every operator with a wave engine
-has a parallel spelling (``pf``/``pelf``/``prw`` + zero-cost variants).
+when a classifier is supplied, and the refactor family has parallel
+spellings on the wave engine (``pf``/``pelf`` + zero-cost variants;
+``prw``/``prwz`` are kept as spellings of the sequential ``rw``).
 
 The execution machinery lives elsewhere: commands are *registered*
 :class:`repro.opt.registry.CommandSpec` entries (not a switch), and the
@@ -99,7 +100,6 @@ def run_flow(
     script: str = RESYN2,
     classifier=None,
     engine_workers: int | None = None,
-    engine_executor=None,
     registry: CommandRegistry | None = None,
 ) -> tuple[AIG, FlowReport]:
     """Execute a ``;``-separated command script; returns (network, report).
@@ -109,9 +109,10 @@ def run_flow(
     ``rs``/``rsz`` (resub / zero-cost), ``elf``/``elfz`` (ELF-pruned
     refactor; needs ``classifier``), ``pf``/``pfz`` (conflict-wave
     parallel refactor), ``pelf``/``pelfz`` (parallel ELF; needs
-    ``classifier``) and ``prw``/``prwz`` (conflict-wave parallel
-    rewrite) — plus anything else registered on ``registry`` (default:
-    the process-wide :func:`repro.opt.registry.default_registry`).
+    ``classifier``) and ``prw``/``prwz`` (the sequential rewrite; ``-w``
+    is accepted and ignored) — plus anything else registered on
+    ``registry`` (default: the process-wide
+    :func:`repro.opt.registry.default_registry`).
     ``-l`` preserves levels where the operator supports it; the parallel
     commands accept ``-w N`` to pin the worker count (0 = one per core).
     Unknown commands *and unsupported flags* raise
@@ -120,25 +121,21 @@ def run_flow(
     This is the one-shot convenience wrapper over
     :class:`repro.opt.session.OptSession` — equivalent to running
     ``script`` inside ``OptSession(classifier=classifier, ...)``, so all
-    session guarantees apply: every refactor- and rewrite-family step of
-    the script shares one cross-pass
-    :class:`repro.engine.ResynthCache` (created lazily on first demand;
-    e.g. the second ``elf`` of ``elf; elf`` starts with every factored
-    form the first derived), ``engine_workers`` is the worker count for
-    parallel commands with no explicit ``-w``, and ``engine_executor``
-    attaches a shared :class:`repro.engine.ResynthExecutor` (its width
-    governs unpinned parallel refactor steps; a conflicting explicit
-    ``-w`` drops it for that step — recorded on the step — and ``prw``
-    reads only its width).  Callers running many scripts, or many
-    circuits, should hold an :class:`~repro.opt.session.OptSession`
-    directly and reuse its warm resources.
+    session guarantees apply: every refactor-family step of the script
+    shares one cross-pass :class:`repro.engine.ResynthCache` (created
+    lazily on first demand; e.g. the second ``elf`` of ``elf; elf``
+    starts with every factored form the first derived), and
+    ``engine_workers`` is the worker count for parallel commands with no
+    explicit ``-w``.  Callers running many
+    scripts, or many circuits, should hold an
+    :class:`~repro.opt.session.OptSession` directly and reuse its warm
+    resources (its worker pool above all).
     """
     from .session import OptSession
 
     with OptSession(
         classifier=classifier,
         engine_workers=engine_workers,
-        engine_executor=engine_executor,
         registry=registry,
     ) as session:
         return session.run(g, script)

@@ -11,7 +11,8 @@ the registered specs with **strict flag validation** — an unsupported
 flag raises :class:`repro.errors.ReproError` instead of being silently
 dropped — and :func:`default_registry` holds the built-in command set
 (``b``, ``rw/rwz``, ``rf/rfz`` + ``f/fz``, ``rs/rsz``, ``elf/elfz``,
-``pf/pfz``, ``pelf/pelfz``, ``prw/prwz``).
+``pf/pfz``, ``pelf/pelfz``, and ``prw/prwz`` — which runs the
+sequential ``rw`` at any ``-w``).
 
 Adding an operator no longer touches ``opt/flow.py``: build a spec and
 ``register`` it — on :func:`default_registry` for process-wide effect,
@@ -323,7 +324,7 @@ def _make_engine_refactor(elf: bool):
     def execute(g, ctx, flags):
         from ..engine import EngineParams, engine_refactor
 
-        workers, executor = ctx.engine_resources(flags, pooled=True)
+        workers, executor = ctx.engine_resources(flags)
         stats = engine_refactor(
             g,
             EngineParams(
@@ -338,29 +339,6 @@ def _make_engine_refactor(elf: bool):
         return g, stats
 
     return execute
-
-
-def _exec_engine_rewrite(g, ctx, flags):
-    from ..engine import RewriteEngineParams, engine_rewrite
-
-    # Rewrite evaluation never dispatches to the pool; a shared executor
-    # is accepted as a *width source* only (pooled=False: the session
-    # will not materialize one for this command's sake).
-    workers, executor = ctx.engine_resources(flags, pooled=False)
-    stats = engine_rewrite(
-        g,
-        RewriteEngineParams(
-            rewrite=RewriteParams(
-                zero_cost=flags.zero_cost, preserve_levels=flags.preserve_levels
-            ),
-            workers=workers,
-            executor=executor,
-            resynth_cache=ctx.resynth_cache,
-            library=ctx.npn_library,
-            deadline=ctx.deadline,
-        ),
-    )
-    return g, stats
 
 
 def _build_default_registry() -> CommandRegistry:
@@ -443,12 +421,14 @@ def _build_default_registry() -> CommandRegistry:
     registry.register(
         CommandSpec(
             name="prw",
-            execute=_exec_engine_rewrite,
+            # The sequential rewrite at every width: a wave pass of it
+            # never beat ``rw`` (docs/engine.md).  ``-w N`` is still
+            # parsed and validated, so existing scripts keep running.
+            execute=_exec_rewrite,
             zero_cost_pair=True,
             supports_levels=True,
             supports_workers=True,
-            uses_cache=True,
-            help="conflict-wave parallel rewriting (never pools)",
+            help="rewriting, kept as a spelling of rw (-w accepted, ignored)",
         )
     )
     return registry

@@ -10,22 +10,21 @@ invalidated by earlier commits in the same pass are detected (dead
 leaves / uncovered cones) and skipped, which matches the greedy one-pass
 character of the original.
 
-The per-node work is split into three reusable phases shared with the
-conflict-wave engine (:mod:`repro.engine.operators`):
+The per-node work runs in three phases:
 
 * **snapshot** — :func:`usable_node_cuts` filters a node's enumerated
   cuts down to the live, >= 2-leaf ones (counting the stale rest);
-* **evaluate** — :func:`evaluate_cut` is the pure
-  ``truth table -> (library entry, NPN transform)`` lookup, the step the
-  engine batches and caches per wave;
+* **evaluate** — each cut's truth table, padded to four variables,
+  resolves to a library entry + NPN transform
+  (:meth:`repro.opt.npn_library.NpnLibrary.lookup`, which memoizes
+  canonizations, so each distinct function canonizes once per library);
 * **commit** — :func:`commit_scored` gain-checks every scored cut
   against the *current* graph (MFFC, strash-aware node count, optional
   required-level bound) and commits the best, exactly once.
 
-The sequential :func:`rewrite` composes the three per node; the wave
-scheduler runs snapshot once per candidate, evaluate once per wave and
-commit serially at replay.  Both paths therefore share one
-implementation of every graph-facing decision.
+The operator is sequential only: the ``prw``/``prwz`` flow spellings run
+this same pass at any ``-w``, because a conflict-wave version of it never
+beat the sequential sweep (``docs/engine.md``).
 """
 
 from __future__ import annotations
@@ -114,22 +113,6 @@ def usable_node_cuts(
     return cuts, n_stale
 
 
-def evaluate_cut(tt: int, n_leaves: int, library: NpnLibrary, cache=None):
-    """Evaluate phase: library entry + NPN transform for one cut function.
-
-    Pure in ``(tt, n_leaves)`` — no graph access — which is what lets the
-    wave engine batch it per wave.  ``cache`` — when given — routes the
-    resolution through a cross-pass memo layer
-    (:meth:`repro.engine.cache.ResynthCache.library_lookup`), which is
-    how the engine makes every distinct function canonize once per flow;
-    both paths run this one pad + lookup implementation.
-    """
-    tt4 = pad_tt(tt, n_leaves)
-    if cache is not None:
-        return cache.library_lookup(tt4, library)
-    return library.lookup(tt4)
-
-
 def commit_scored(
     g: AIG,
     node: int,
@@ -137,20 +120,15 @@ def commit_scored(
     library: NpnLibrary,
     params: RewriteParams,
     required: RequiredLevels | None,
-    dirty: set[int] | None = None,
 ) -> int | None:
     """Commit phase: gain-check every scored cut, commit the best.
 
     ``scored`` is a list of ``(leaves, entry, transform)`` triples from
-    :func:`evaluate_cut`; everything graph-dependent — the cut-bounded
+    the library lookup; everything graph-dependent — the cut-bounded
     MFFC, the strash-aware node count, the required-level bound and the
     final build/replace — is evaluated here, against the graph as it is
-    *now*, which is what makes the function safe to defer to the wave
-    engine's serial replay.  Returns the realized gain (AND nodes
-    removed) or ``None`` when no cut commits.
-
-    ``dirty`` — when given — accumulates the node kills this commit
-    journaled, mirroring :func:`repro.opt.refactor.commit_tree`.
+    *now*.  Returns the realized gain (AND nodes removed) or ``None``
+    when no cut commits.
     """
     best = None  # ((gain, -cost), tree, arranged_lits, out_invert, leaves)
     for leaves, entry, transform in scored:
@@ -184,8 +162,6 @@ def commit_scored(
         return None
     before = g.n_ands
     g.replace(node, lit_not(built) if out_invert else built)
-    if dirty is not None:
-        dirty.update(g.drain_dirty().killed)
     return before - g.n_ands
 
 
@@ -208,7 +184,7 @@ def _rewrite_node(
             stats.stale_cuts += 1
             continue
         stats.cuts_tried += 1
-        entry, transform = evaluate_cut(tt, len(leaves), library)
+        entry, transform = library.lookup(pad_tt(tt, len(leaves)))
         scored.append((leaves, entry, transform))
     gain = commit_scored(g, node, scored, library, params, required)
     if gain is None:

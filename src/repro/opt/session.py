@@ -1,25 +1,24 @@
 """Flow sessions: explicit lifecycle for the resources a script shares.
 
-``run_flow`` used to thread ``classifier`` / ``engine_workers`` /
-``engine_executor`` / a resynthesis cache through an if/elif chain as
-ad-hoc kwargs.  :class:`OptSession` replaces that plumbing with one
-owner: a context manager that holds the per-flow resources — the
-cross-pass :class:`repro.engine.ResynthCache`, the NPN library, an
-optional classifier handle, and (when parallel commands ask for one) a
+``run_flow`` used to thread ``classifier`` / ``engine_workers`` / a
+resynthesis cache through an if/elif chain as ad-hoc kwargs.
+:class:`OptSession` replaces that plumbing with one owner: a context
+manager that holds the per-flow resources — the cross-pass
+:class:`repro.engine.ResynthCache`, the NPN library, an optional
+classifier handle, and (when parallel commands ask for one) a
 :class:`repro.engine.ResynthExecutor` worker pool — and executes
 scripts against a declarative :class:`repro.opt.registry.CommandRegistry`.
 Resources are created **lazily on first demand** (``b; b`` allocates
-nothing) and owned resources are closed on exit; externally provided
-ones (a caller's shared engine pool) are used but never closed.
+nothing) and closed on exit.
 
 One session may run many scripts — and, as the serving layer does, many
 circuits concurrently: per-run state lives in a thread-private
 :class:`FlowContext`, while the shared cache/library/pool are safe to
 share because their entries are pure (exact cache hits are bit-identical
 to recomputation).  :class:`SessionStats` records what the session
-provisioned and what it had to drop — most notably shared executors
-discarded because a script pinned a conflicting ``-w`` (previously a
-silent no-trace event).
+provisioned and what it had to drop — most notably its pool bypassed
+because a script pinned a conflicting ``-w`` (previously a silent
+no-trace event).
 
 ``repro.opt.run_flow`` is a thin wrapper: one throwaway session per
 call, byte-identical to the historical behavior.
@@ -41,12 +40,11 @@ from .registry import CommandFlags, CommandRegistry, ResolvedCommand, default_re
 
 @dataclass
 class DroppedExecutor:
-    """One shared-executor discard (script pin vs pool width conflict)."""
+    """One session-pool bypass (script pin vs pool width conflict)."""
 
     command: str
     pinned_workers: int
     executor_workers: int
-    external: bool  # True when the dropped pool was caller-provided
 
 
 class SessionStats:
@@ -150,47 +148,36 @@ class FlowContext:
     def npn_library(self):
         return self.session.npn_library
 
-    def engine_resources(self, flags: CommandFlags, pooled: bool):
+    def engine_resources(self, flags: CommandFlags):
         """Resolve ``(workers, executor)`` for one parallel command.
 
-        Precedence (unchanged from the pre-session flow layer): an
-        explicit ``-w N`` always wins — a shared executor of a different
-        width is **dropped** rather than silently overriding the pinned
-        count, and the drop is now recorded on the session stats and on
-        the step.  Without ``-w``, the session-level ``engine_workers``
-        default applies, and an attached executor's width governs as
-        usual.  ``pooled`` commands (the refactor engine family) may
-        lazily materialize the session's own pool; width-only consumers
-        (wave rewrite) never cause one to exist.
+        Precedence: an explicit ``-w N`` always wins — a session pool of
+        a different width is **dropped** for the step rather than
+        silently overriding the pinned count, and the drop is recorded
+        on the session stats and on the step.  Without ``-w``, the
+        session-level ``engine_workers`` default applies, and the
+        session's pool — materialized here on the first unpinned step,
+        at the session's default width — governs the width.
         """
         session = self.session
         workers = flags.workers if flags.workers is not None else 0
         explicit = workers > 0
         if not explicit and session.engine_workers is not None:
             workers = session.engine_workers
-        executor = session._external_executor
-        external = executor is not None
-        if not external:
-            # The session's own pool serves pooled commands and — like
-            # an attached external pool always did — acts as a width
-            # source for width-only consumers (wave rewrite), but only
-            # pooled unpinned steps may *materialize* it (at the
-            # session's default width).
-            executor = session._own_executor
-            if executor is None and pooled and not explicit:
-                executor = session._materialize_executor()
+        executor = session._own_executor
+        if executor is None and not explicit:
+            executor = session._materialize_executor()
         if explicit and executor is not None and executor.workers != workers:
-            self._record_drop(workers, executor.workers, external=external)
+            self._record_drop(workers, executor.workers)
             executor = None
         return workers, executor
 
-    def _record_drop(self, pinned: int, pool_width: int, external: bool) -> None:
+    def _record_drop(self, pinned: int, pool_width: int) -> None:
         """Log one bypassed pool: the pin wins, but never silently.
 
         Historically a width-mismatched shared executor was discarded
         with no trace; now the discard lands on the session stats and on
-        the step (``FlowStep.executor_dropped``), whether the bypassed
-        pool was caller-attached (``external``) or session-owned.
+        the step (``FlowStep.executor_dropped``).
         """
         with self.session._lock:
             self.session.stats.record_drop(
@@ -198,7 +185,6 @@ class FlowContext:
                     command=self.command,
                     pinned_workers=pinned,
                     executor_workers=pool_width,
-                    external=external,
                 )
             )
         self.executor_dropped = True
@@ -210,11 +196,10 @@ class OptSession:
     Parameters: ``classifier`` is the default classifier handle for
     commands that declare ``needs_classifier`` (a per-``run`` override
     exists for serving).  ``engine_workers`` is the worker count applied
-    to parallel commands with no explicit ``-w``.  ``engine_executor``
-    attaches an externally owned pool (used, never closed); without one
-    the session materializes its own on first pooled command — sized by
-    ``engine_workers`` (falling back to the core count) — and closes it
-    on exit.  ``library`` pins the NPN library (default: the process-wide
+    to parallel commands with no explicit ``-w``.  The session
+    materializes its own pool on the first unpinned parallel command (or
+    on :meth:`warm_engine`) — sized by ``engine_workers``, falling back
+    to the core count — and closes it on exit.  ``library`` pins the NPN library (default: the process-wide
     shared instance, created lazily on first rewrite-family command).
     ``registry`` selects the command set (default: the process registry).
 
@@ -243,7 +228,6 @@ class OptSession:
         self,
         classifier=None,
         engine_workers: int | None = None,
-        engine_executor=None,
         library=None,
         registry: CommandRegistry | None = None,
         per_run_cache: bool = False,
@@ -255,7 +239,6 @@ class OptSession:
         self.cache_entries = cache_entries
         self.registry = registry if registry is not None else default_registry()
         self.stats = SessionStats()
-        self._external_executor = engine_executor
         self._own_executor = None
         self._cache = None
         self._library = library
@@ -294,16 +277,10 @@ class OptSession:
         return self._library
 
     @property
-    def executor_is_external(self) -> bool:
-        return self._external_executor is not None
-
-    @property
     def engine_executor(self):
-        """The worker pool this session's pooled commands would share
-        (external if attached, else the session-owned one) — ``None``
-        until a pooled command or :meth:`warm_engine` materializes it."""
-        if self._external_executor is not None:
-            return self._external_executor
+        """The worker pool this session's parallel commands share —
+        ``None`` until an unpinned parallel command or :meth:`warm_engine`
+        materializes it."""
         return self._own_executor
 
     def _materialize_executor(self, width: int | None = None):
@@ -334,15 +311,11 @@ class OptSession:
         Serving layers call this from a still-single-threaded moment:
         forking a process pool while sibling threads run is
         undefined-behaviour territory on POSIX, so the fork is
-        front-loaded.  With an external executor attached this is a
-        no-op (the caller owns that pool's lifecycle).  A session pool
-        that already exists at a *different* width is closed and
-        replaced at ``width`` — the whole point is that later steps find
-        a matching pool — which is another reason this belongs in a
-        single-threaded moment.
+        front-loaded.  A session pool that already exists at a
+        *different* width is closed and replaced at ``width`` — the whole
+        point is that later steps find a matching pool — which is another
+        reason this belongs in a single-threaded moment.
         """
-        if self._external_executor is not None:
-            return True
         if width <= 1:
             return False
         with self._lock:
@@ -465,7 +438,7 @@ class OptSession:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release owned resources (idempotent); external ones are kept."""
+        """Release the session's resources (idempotent)."""
         self._closed = True
         executor, self._own_executor = self._own_executor, None
         if executor is not None:

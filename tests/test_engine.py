@@ -412,6 +412,24 @@ class TestIncrementalResnapshot:
         assert 0.0 <= stats.resnapshot_rate <= 1.0
         assert stats.n_cache_hits >= 0 and stats.n_npn_hits >= 0
 
+    def test_repair_wave_on_epfl_square(self):
+        # A wave that splits at a realised conflict: a commit kills nodes
+        # in the cone of a later member of the same wave, which is
+        # deferred into an immediate repair wave.
+        from repro.aig.io_bench import to_text
+        from repro.circuits import epfl_circuit
+
+        g = epfl_circuit("square")
+        first, second = g.clone(), g.clone()
+        s1 = engine_refactor(first, EngineParams(workers=2))
+        s2 = engine_refactor(second, EngineParams(workers=2))
+        assert not s1.delegated
+        assert s1.n_repair_waves >= 1
+        assert s1.n_invalidated > 0
+        assert equivalent(g, first, method="exhaustive")
+        assert to_text(first) == to_text(second)
+        assert s1.n_repair_waves == s2.n_repair_waves
+
     def test_candidate_index_invalidation_lookup(self):
         from repro.engine import CandidateIndex
 

@@ -2,7 +2,7 @@
 
 Covers the API-redesign guarantees: captured-reference byte-identity of
 ``run_flow`` across the session rewrite, strict flag validation, script
-parsing edge cases, lazy resource creation, shared-executor drop
+parsing edge cases, lazy resource creation, session-pool drop
 recording, custom-command registration without touching ``opt/flow.py``,
 and the ``python -m repro`` CLI.
 """
@@ -18,7 +18,6 @@ import pytest
 
 from repro.aig.io_bench import read, to_text
 from repro.elf import collect_dataset, train_leave_one_out
-from repro.engine import ResynthExecutor
 from repro.errors import ReproError
 from repro.ml import TrainConfig
 from repro.opt import (
@@ -26,12 +25,12 @@ from repro.opt import (
     CommandSpec,
     OptSession,
     RESYN2,
-    RefactorParams,
     balance,
     canonical_command,
     default_registry,
     run_flow,
 )
+from repro.opt.rewrite import RewriteStats
 
 from .util import random_aig
 
@@ -199,43 +198,42 @@ class TestLazyResources:
 class TestDroppedExecutorRecording:
     def test_width_mismatch_drop_is_recorded(self):
         g = random_aig(7, 150, 4, seed=6)
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            with OptSession(engine_executor=executor) as session:
-                _, report = session.run(g.clone(), "pf -w 1; b")
-                # The pin still wins (bit-identical sequential mode) ...
-                assert report.steps[0].detail.workers == 1
-                assert report.steps[0].detail.delegated
-                # ... but the discard is no longer silent.
-                assert report.steps[0].executor_dropped
-                assert not report.steps[1].executor_dropped
-                assert session.stats.executors_dropped == 1
-                drop = session.stats.dropped_executors[0]
-                assert drop.command == "pf -w 1"
-                assert drop.pinned_workers == 1
-                assert drop.executor_workers == 2
-                assert drop.external
+        with OptSession() as session:
+            assert session.warm_engine(2)
+            _, report = session.run(g.clone(), "pf -w 1; b")
+            # The pin still wins (bit-identical sequential mode) ...
+            assert report.steps[0].detail.workers == 1
+            assert report.steps[0].detail.delegated
+            # ... but the discard is no longer silent.
+            assert report.steps[0].executor_dropped
+            assert not report.steps[1].executor_dropped
+            assert session.stats.executors_dropped == 1
+            drop = session.stats.dropped_executors[0]
+            assert drop.command == "pf -w 1"
+            assert drop.pinned_workers == 1
+            assert drop.executor_workers == 2
 
     def test_matching_width_is_not_a_drop(self):
         g = random_aig(7, 150, 4, seed=6)
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            with OptSession(engine_executor=executor) as session:
-                _, report = session.run(g.clone(), "pf -w 2")
-                assert report.steps[0].detail.workers == 2
-                assert not report.steps[0].executor_dropped
-                assert session.stats.executors_dropped == 0
-
-    def test_session_owned_pool_drop_recorded(self):
-        # The serving scenario: a shard pool warmed wider than a script
-        # pin must leave a trace too (external=False marks it owned).
-        g = random_aig(7, 150, 4, seed=6)
         with OptSession() as session:
             assert session.warm_engine(2)
-            _, report = session.run(g.clone(), "pf -w 1")
-            assert report.steps[0].detail.delegated
-            assert report.steps[0].executor_dropped
+            _, report = session.run(g.clone(), "pf -w 2")
+            assert report.steps[0].detail.workers == 2
+            assert not report.steps[0].executor_dropped
+            assert session.stats.executors_dropped == 0
+
+    def test_session_owned_pool_drop_recorded(self):
+        # A pool the session materialized lazily (first unpinned step, at
+        # its engine_workers width) is dropped for a conflicting pin too.
+        g = random_aig(7, 150, 4, seed=6)
+        with OptSession(engine_workers=2) as session:
+            _, report = session.run(g.clone(), "pf; pf -w 1")
+            assert session.stats.executor_created
+            assert not report.steps[0].executor_dropped
+            assert report.steps[1].detail.delegated
+            assert report.steps[1].executor_dropped
             drop = session.stats.dropped_executors[0]
             assert (drop.pinned_workers, drop.executor_workers) == (1, 2)
-            assert not drop.external
 
     def test_warm_engine_replaces_mismatched_width(self):
         with OptSession() as session:
@@ -244,13 +242,6 @@ class TestDroppedExecutorRecording:
             assert session.warm_engine(3)  # re-warm at a new width
             assert session.engine_executor.workers == 3
             assert not session.warm_engine(1)  # width 1: sequential mode
-
-    def test_external_executor_not_closed_by_session(self):
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            with OptSession(engine_executor=executor) as session:
-                session.run(random_aig(6, 60, 3, seed=7), "pf -w 2")
-            # session closed; the external pool must still work
-            assert executor.run([(0b1000, 2)])
 
 
 class TestCustomCommandRegistration:
@@ -423,16 +414,15 @@ class TestSessionServing:
             warm, _ = session.run(g.clone(), "rf; rfz")
         assert to_text(warm) == to_text(out1)
 
-    def test_own_pool_width_sizes_prw(self):
-        # A warmed session pool acts as a width source for prw, exactly
-        # like an attached external executor always did (rewrite never
-        # dispatches to it).
+    def test_warm_pool_leaves_prw_sequential(self):
+        # prw runs the sequential rewrite whatever pool the session holds.
         g = random_aig(7, 150, 4, seed=15)
         with OptSession() as session:
             assert session.warm_engine(2)
-            _, report = session.run(g.clone(), "prw")
-            assert report.steps[0].detail.workers == 2
-            assert not report.steps[0].detail.delegated
+            out, report = session.run(g.clone(), "prw")
+            assert isinstance(report.steps[0].detail, RewriteStats)
+        expected, _ = run_flow(g.clone(), "rw")
+        assert to_text(out) == to_text(expected)
 
     def test_compress2_known_script(self):
         g = random_aig(7, 150, 4, seed=12)

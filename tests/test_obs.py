@@ -497,12 +497,11 @@ class TestFlowTraceIntegration:
         _, report = self._traced_parallel_flow()
         stats = report.steps[0].detail
         reg = obs.metrics()
-        op = {"operator": stats.operator}
-        assert reg.value("engine_passes_total", **op) == 1
-        assert reg.value("engine_waves_total", **op) == stats.n_waves
-        assert reg.value("engine_commits_total", **op) == stats.commits
-        assert reg.value("engine_tasks_total", **op) == stats.n_tasks
-        assert reg.value("engine_unique_tasks_total", **op) == stats.n_unique_tasks
+        assert reg.value("engine_passes_total") == 1
+        assert reg.value("engine_waves_total") == stats.n_waves
+        assert reg.value("engine_commits_total") == stats.commits
+        assert reg.value("engine_tasks_total") == stats.n_tasks
+        assert reg.value("engine_unique_tasks_total") == stats.n_unique_tasks
         # Pooled worker deltas can never exceed the scheduler's dispatch
         # accounting, and every pooled task is a unique task.
         assert (

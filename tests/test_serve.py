@@ -8,7 +8,7 @@ from repro.engine import EngineParams, ResynthExecutor, engine_refactor
 from repro.errors import ReproError
 from repro.harness import serve_throughput
 from repro.ml import MLP
-from repro.opt import RefactorParams, run_flow
+from repro.opt import OptSession, RefactorParams, run_flow
 from repro.opt.registry import default_registry
 from repro.serve import ServeParams, assign_shards, serve_stream, serve_suite
 from repro.verify import equivalent
@@ -180,15 +180,19 @@ class TestFlowServerHooks:
 
     def test_explicit_w_beats_shared_executor(self):
         # "pf -w 1" must stay the bit-identical sequential mode even when
-        # the server provisioned a wider shared pool.
+        # the shard provisioned a wider shared pool.
         g = random_aig(7, 150, 4, seed=6)
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            _, report = run_flow(g.clone(), "pf -w 1", engine_executor=executor)
+        with OptSession() as session:
+            assert session.warm_engine(2)
+            out, report = session.run(g.clone(), "pf -w 1")
             assert report.steps[0].detail.workers == 1
             assert report.steps[0].detail.delegated
+            sequential, _ = run_flow(g.clone(), "rf")
+            assert to_text(out) == to_text(sequential)
             # matching widths keep the shared pool
-            _, report = run_flow(g.clone(), "pf -w 2", engine_executor=executor)
+            _, report = session.run(g.clone(), "pf -w 2")
             assert report.steps[0].detail.workers == 2
+            assert not report.steps[0].executor_dropped
 
     def test_serve_sizes_pool_for_script_pins(self):
         # A script-level "-w 2" under ServeParams(workers=1) must still be

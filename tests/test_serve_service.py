@@ -119,6 +119,28 @@ class TestServeSuiteProcs:
         assert metrics.value("flow_commands_total", command="rf") - rf0 == len(suite)
         assert metrics.value("flow_commands_total", command="b") - b0 == len(suite)
 
+    def test_shard_sessions_keep_distinct_labels(self):
+        # Forked shards inherit the parent's label sequence; the labels
+        # must still differ, or the two shards' session_* series fuse
+        # into one when their metric deltas merge into the parent.
+        suite = small_suite()
+        metrics = obs.metrics()
+
+        def runs_series():
+            return {
+                c.labels["session"]: c.value
+                for c in metrics.counters()
+                if c.name == "session_runs_total"
+            }
+
+        before = runs_series()
+        report = serve_suite(suite, ServeParams(flow=FLOW, n_shards=2, workers=1))
+        assert report.ok
+        assert {r.shard for r in report.results} == {0, 1}
+        new = {k: v for k, v in runs_series().items() if k not in before}
+        assert len(new) == 2, new
+        assert sum(new.values()) == len(suite)
+
     def test_concurrent_shards_audit_through_cache(self):
         suite = small_suite()
         store = ResultStore()

@@ -30,7 +30,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro import obs, run_flow  # noqa: E402
 from repro.circuits import layered_random_aig  # noqa: E402
 
-FLOW = "b; pf -w 2; b; prw"
+FLOW = "b; pf -w 2; b; rw"
 
 
 def main() -> int:
